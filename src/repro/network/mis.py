@@ -149,16 +149,27 @@ class MISTask(Task):
 
     def sample_inputs(self, rng: random.Random) -> list[tuple[int, ...]]:
         """Per-node candidate coins: ``coin[k] ~ Bernoulli(p_k)`` with
-        ``p_k`` from the cycling schedule."""
-        return [
-            tuple(
-                1
-                if rng.random() < self.candidate_probability(phase)
-                else 0
-                for phase in range(self.phases)
-            )
-            for _ in range(self.n_parties)
+        ``p_k`` from the cycling schedule.
+
+        Bitwise the coins of ``rng.random() < p_k`` drawn node by node,
+        phase by phase: the draws run on a numpy copy of ``rng``'s
+        Mersenne-Twister state (same doubles, same order), and the
+        advanced state is handed back so ``rng`` continues exactly as if
+        it had drawn them itself.
+        """
+        # Deferred: the repro.vectorized package imports this module.
+        from repro.vectorized.noise import numpy_stream
+
+        stream = numpy_stream(rng)
+        probabilities = [
+            self.candidate_probability(phase) for phase in range(self.phases)
         ]
+        coins = stream.random_sample((self.n_parties, self.phases)) < (
+            probabilities
+        )
+        _, key, pos, _, _ = stream.get_state()
+        rng.setstate((3, (*key.tolist(), pos), rng.getstate()[2]))
+        return [tuple(row) for row in coins.astype(int).tolist()]
 
     def reference_output(self, inputs) -> None:
         """MIS has no unique reference output — validity is structural.

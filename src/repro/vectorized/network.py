@@ -19,19 +19,25 @@ trial's neighborhood OR at once:
 
 The expansion plan of step 1–2 depends only on *which* nodes beep, not
 on the per-trial bits, so it is cached and reused while the beeping set
-is unchanged — local-broadcast bursts repeat one plan ``k`` times.
+is unchanged.
 
-Noise replays the scalar channel's exact draw order through
-:class:`~repro.vectorized.noise.FlipStream`/:class:`~repro.vectorized.
-noise.BatchFlips` (per-delivery erasure draws in ascending-beeper ×
-CSR-out order, then per-node flip draws in node order), and the batched
-drivers re-run the party state machines of the network tasks
-(neighbor-OR, flooding broadcast, MIS election) over whole-batch
-matrices, with the local-broadcast repetition wrapper folded in as
-``k``-round majority bursts.  Every trial of a batch is bitwise
-identical — records, noise accounting, draw counts — to the scalar
-engine's :func:`~repro.parallel.runner.run_trial` for the same
-``(seed, index)``, which is what ``tests/unit/
+Noise replays the scalar channel's exact draw order through one
+:class:`~repro.vectorized.noise.FlipStream` per trial: per-node flip
+draws in node order, or per-delivery erasure draws in ascending-beeper ×
+CSR-out order.  The local-broadcast repetition wrapper repeats each
+inner round ``k`` times with the same beeps, so a burst is folded into
+one step: one kernel call for the clean reception, and per trial one
+``take(k·n)`` read as a round-major ``(k, n)`` window (per-edge: one
+``take(k·m)`` over the trial's ``m`` deliveries, read as ``(k, m)``),
+summed over rounds into per-node vote counts; the strict-majority
+decode and the up/down flip accounting then run once over the
+``(nodes × trials)`` matrix.  ``k = 1`` (raw noisy protocols) is the
+same fold.  The batched drivers re-run the party state machines of the
+network tasks (neighbor-OR, flooding broadcast, MIS election) over
+whole-batch matrices.  Every trial of a batch is bitwise identical —
+records, noise accounting, draw counts — to the scalar engine's
+:func:`~repro.parallel.runner.run_trial` for the same ``(seed,
+index)``, which is what ``tests/unit/
 test_network_vectorized_equivalence.py`` pins.
 """
 
@@ -52,7 +58,7 @@ from repro.network.topology import Topology
 from repro.parallel.executors import ProtocolExecutor, SimulationExecutor
 from repro.parallel.runner import TrialRecord
 from repro.rng import derive_seed, spawn
-from repro.vectorized.noise import BatchFlips, require_numpy
+from repro.vectorized.noise import FlipStream, require_numpy
 
 try:  # numpy is optional for the package, required to *run* this module.
     import numpy as _np
@@ -96,6 +102,36 @@ class NetworkBatchKernel:
         self._plan_key: bytes | None = None
         self._plan: tuple | None = None
 
+    def _walk(self, act: "_np.ndarray") -> tuple:
+        """Every delivery of beeping set ``act`` in the scalar channel's
+        walk order (ascending beeper, CSR out-list order): the target of
+        each delivery, and each beeper's out-degree."""
+        ptr = self._out_ptr
+        starts = ptr[act]
+        counts = ptr[act + 1] - starts
+        total = int(counts.sum())
+        offsets = _np.repeat(_np.cumsum(counts) - counts, counts)
+        positions = (
+            _np.arange(total, dtype=_np.int64)
+            - offsets
+            + _np.repeat(starts, counts)
+        )
+        return self._out_idx[positions], counts
+
+    @staticmethod
+    def _group(targets: "_np.ndarray") -> tuple:
+        """``(order, seg_starts, uniq)``: the stable permutation grouping
+        ``targets`` by node, the group boundaries in that order, and the
+        distinct targets (ascending)."""
+        order = _np.argsort(targets, kind="stable")
+        targets_sorted = targets[order]
+        boundary = _np.empty(targets.size, dtype=bool)
+        if targets.size:
+            boundary[0] = True
+            boundary[1:] = targets_sorted[1:] != targets_sorted[:-1]
+        seg_starts = _np.nonzero(boundary)[0]
+        return order, seg_starts, targets_sorted[seg_starts]
+
     def plan(self, act: "_np.ndarray") -> tuple:
         """The expansion plan for beeping-node set ``act`` (ascending).
 
@@ -107,45 +143,19 @@ class NetworkBatchKernel:
         key = act.tobytes()
         if key == self._plan_key:
             return self._plan
-        ptr = self._out_ptr
-        starts = ptr[act]
-        counts = ptr[act + 1] - starts
-        total = int(counts.sum())
-        offsets = _np.repeat(_np.cumsum(counts) - counts, counts)
-        positions = (
-            _np.arange(total, dtype=_np.int64)
-            - offsets
-            + _np.repeat(starts, counts)
-        )
-        targets = self._out_idx[positions]
-        sources = _np.repeat(act, counts)
-        order = _np.argsort(targets, kind="stable")
-        targets_sorted = targets[order]
-        boundary = _np.empty(total, dtype=bool)
-        if total:
-            boundary[0] = True
-            boundary[1:] = targets_sorted[1:] != targets_sorted[:-1]
-        seg_starts = _np.nonzero(boundary)[0]
-        uniq = targets_sorted[seg_starts]
+        targets, counts = self._walk(act)
+        order, seg_starts, uniq = self._group(targets)
         self._plan_key = key
-        self._plan = (sources[order], seg_starts, uniq)
+        self._plan = (_np.repeat(act, counts)[order], seg_starts, uniq)
         return self._plan
 
-    def expansion(self, act: "_np.ndarray") -> "_np.ndarray":
-        """The delivery targets of beeping set ``act`` in the scalar
-        channel's walk order (ascending beeper, CSR out-list order) —
-        one entry per erasure draw of the per-edge noise model."""
-        ptr = self._out_ptr
-        starts = ptr[act]
-        counts = ptr[act + 1] - starts
-        total = int(counts.sum())
-        offsets = _np.repeat(_np.cumsum(counts) - counts, counts)
-        positions = (
-            _np.arange(total, dtype=_np.int64)
-            - offsets
-            + _np.repeat(starts, counts)
-        )
-        return self._out_idx[positions]
+    def delivery_groups(self, act: "_np.ndarray") -> tuple:
+        """``(order, seg_starts, uniq)`` for the deliveries of beeping
+        set ``act``: one delivery per erasure draw of the per-edge noise
+        model, in walk order, and the permutation grouping them by
+        target (uncached — the per-edge draws key it per trial)."""
+        targets, _ = self._walk(act)
+        return self._group(targets)
 
     def step(
         self, B: "_np.ndarray", active: "_np.ndarray"
@@ -179,13 +189,16 @@ class _BatchNetworkChannel:
 
     Wraps the kernel with the scalar channel's noise semantics and
     bookkeeping: per-trial beep/OR/flip counters (``ChannelStats``
-    deltas), per-delivery erasure draws and per-node flip draws pulled
-    from each trial's :class:`~repro.vectorized.noise.FlipStream` in the
-    scalar draw order, and ``k``-repetition majority bursts for the
-    local-broadcast wrapper.  ``virtual_round`` returns ``(received,
-    touched)`` where ``touched`` lists the possibly-nonzero rows (or
-    ``None`` when any row may be set, e.g. under per-node noise);
-    ``received`` is only valid until the next call.
+    deltas), and the ``k``-repetition majority bursts of the
+    local-broadcast wrapper folded into one step per virtual round.  A
+    burst repeats the same beep matrix ``k`` times, so its clean
+    reception is computed once and each trial's ``k`` rounds of draws
+    are taken as one window from its
+    :class:`~repro.vectorized.noise.FlipStream` and reduced to per-node
+    vote counts.  ``virtual_round`` returns ``(received, touched)``
+    where ``touched`` lists the possibly-nonzero rows (or ``None`` when
+    any row may be set, e.g. under per-node noise); ``received`` is only
+    valid until the next call.
     """
 
     def __init__(
@@ -212,57 +225,85 @@ class _BatchNetworkChannel:
         self.or_ones = _np.zeros(trials, dtype=_np.int64)
         self.flips_up = _np.zeros(trials, dtype=_np.int64)
         self.flips_down = _np.zeros(trials, dtype=_np.int64)
-        self._noisy = epsilon > 0.0 or edge_epsilon > 0.0
-        if self._noisy:
+        if epsilon > 0.0:
+            # Per-(trial, node) flip counts of the current burst.
+            self._flips = _np.zeros((trials, self.n), dtype=_np.int32)
+        if edge_epsilon > 0.0:
             self._received = _np.zeros((self.n, trials), dtype=_np.uint8)
-        self._recv_dirty: Any = None
-        # Per-trial expansion cache for the per-edge draws (beeping sets
-        # are per-trial there; bursts reuse one expansion k times).
-        self._trial_plans: list = [(None, None)] * trials
+            self._recv_dirty: Any = None
+            # Per-trial delivery plans: beeping sets are per-trial here.
+            self._trial_plans: list = [(None, None)] * trials
 
-    # -- one physical round -------------------------------------------
-
-    def _count_round(self, B, active, scale: int) -> None:
+    def _count_round(self, B, active) -> None:
+        k = self.k
         beeps = (
             B[active].sum(axis=0, dtype=_np.int64)
             if active.size
             else _np.zeros(self.trials, dtype=_np.int64)
         )
-        self.beeps += beeps * scale
-        self.or_ones += (beeps > 0).astype(_np.int64) * scale
-        self.rounds += scale
+        self.beeps += beeps * k
+        self.or_ones += (beeps > 0).astype(_np.int64) * k
+        self.rounds += k
 
-    def _physical_round(self, B, active):
+    def virtual_round(self, B, active):
+        """One inner-protocol round: ``k`` physical rounds of ``B`` with
+        per-node strict-majority decode (``k = 1``: the round itself)."""
+        self._count_round(B, active)
         if self.edge_epsilon > 0.0:
-            return self._edge_round(B, active)
+            return self._edge_noise(B, active)
         heard, touched = self.kernel.step(B, active)
         if self.epsilon > 0.0:
             return self._node_noise(heard), None
+        # Majority of k identical clean receptions is the reception.
         return heard, touched
 
     def _node_noise(self, heard):
-        """Per-node flip draws, node order — one draw per node per round,
-        exactly the scalar channel's uniform discipline."""
-        received = self._received
-        n = self.n
-        for trial, stream in enumerate(self.streams):
-            flips = stream.take(n)
-            clean = heard[:, trial]
-            _np.bitwise_xor(clean, flips, out=received[:, trial])
-            n_flips = int(flips.sum())
-            down = int((flips & clean).sum())
-            self.flips_down[trial] += down
-            self.flips_up[trial] += n_flips - down
-        return received
+        """Per-node flip draws of one burst, folded to vote counts.
 
-    def _edge_round(self, B, active):
-        """Per-delivery erasure draws in the scalar walk order.
-
-        Draw counts depend on each trial's own beeping set, so the
-        expansion is per trial here; the per-trial plan cache keeps
-        local-broadcast bursts (same beepers k rounds running) at one
-        expansion per burst.
+        The scalar channel draws one uniform per node per physical
+        round, in node order, so trial ``t``'s burst is the next
+        ``k·n`` indicators of its stream, round-major: one ``take``
+        reshaped to ``(k, n)`` and summed over rounds gives each node's
+        flip count ``F``.  A node votes 1 in the ``k − F`` unflipped
+        rounds when its clean reception is 1 and in the ``F`` flipped
+        ones when it is 0.
         """
+        k, n = self.k, self.n
+        flips = self._flips
+        for trial, stream in enumerate(self.streams):
+            stream.take(k * n).reshape(k, n).sum(
+                axis=0, dtype=_np.int32, out=flips[trial]
+            )
+        flips = flips.T
+        down = (flips * heard).sum(axis=0)
+        self.flips_down += down
+        self.flips_up += flips.sum(axis=0) - down
+        votes = _np.where(heard, k - flips, flips)
+        return (2 * votes > k).astype(_np.uint8)
+
+    def _delivery_plan(self, act) -> tuple:
+        """``(order, seg_starts, uniq, noisy)`` for beeping set ``act``:
+        the kernel's delivery grouping plus the mask of reached nodes
+        whose reception can be erased (a self-hearing beeper always
+        hears itself)."""
+        order, seg_starts, uniq = self.kernel.delivery_groups(act)
+        if self.hear_self and act.size:
+            noisy = ~_np.isin(uniq, act)
+        else:
+            noisy = _np.ones(uniq.size, dtype=bool)
+        return order, seg_starts, uniq, noisy
+
+    def _edge_noise(self, B, active):
+        """Per-delivery erasure draws of one burst, folded per trial.
+
+        Each physical round draws one erasure per delivery in the scalar
+        walk order (ascending beeper, CSR out-list), and a burst keeps
+        the beeping set, so trial ``t``'s burst is one ``take(k·m)``
+        over its ``m`` deliveries, reshaped to ``(k, m)``.  Grouping the
+        columns by target and OR-ing each group per round gives every
+        reached node's heard count over the burst.
+        """
+        k = self.k
         received = self._received
         if self._recv_dirty is not None and self._recv_dirty.size:
             received[self._recv_dirty] = 0
@@ -275,48 +316,31 @@ class _BatchNetworkChannel:
                 else active
             )
             key = act.tobytes()
-            cached_key, targets = self._trial_plans[trial]
+            cached_key, plan = self._trial_plans[trial]
             if key != cached_key:
-                targets = self.kernel.expansion(act)
-                self._trial_plans[trial] = (key, targets)
-            erased = stream.take(targets.size)
-            delivered = targets[erased == 0]
-            clean_nodes = _np.unique(targets)
-            heard_nodes = _np.unique(delivered)
+                plan = self._delivery_plan(act)
+                self._trial_plans[trial] = (key, plan)
+            order, seg_starts, uniq, noisy = plan
+            window = stream.take(k * order.size)
+            if order.size:
+                delivered = window.reshape(k, order.size)[:, order] == 0
+                heard = _np.maximum.reduceat(delivered, seg_starts, axis=1)
+                counts = heard.sum(axis=0)
+                self.flips_down[trial] += int((k - counts[noisy]).sum())
+                nodes = uniq[2 * counts > k]
+            else:
+                nodes = uniq
             if self.hear_self and act.size:
-                clean_nodes = _np.union1d(clean_nodes, act)
-                heard_nodes = _np.union1d(heard_nodes, act)
-            self.flips_down[trial] += clean_nodes.size - heard_nodes.size
-            if heard_nodes.size:
-                received[heard_nodes, trial] = 1
-                touched_parts.append(heard_nodes)
+                nodes = _np.union1d(nodes, act)
+            if nodes.size:
+                received[nodes, trial] = 1
+                touched_parts.append(nodes)
         if touched_parts:
             touched = _np.unique(_np.concatenate(touched_parts))
         else:
             touched = _np.zeros(0, dtype=_np.int64)
         self._recv_dirty = touched
         return received, touched
-
-    # -- one virtual round (k-repetition majority) --------------------
-
-    def virtual_round(self, B, active):
-        """One inner-protocol round: ``k`` physical rounds of ``B`` with
-        per-node strict-majority decode (``k = 1``: the round itself)."""
-        k = self.k
-        self._count_round(B, active, k)
-        if not self._noisy:
-            # Majority of k identical clean receptions is the reception.
-            return self.kernel.step(B, active)
-        if k == 1:
-            return self._physical_round(B, active)
-        counts = _np.zeros((self.n, self.trials), dtype=_np.int32)
-        for _ in range(k):
-            received, touched = self._physical_round(B, active)
-            if touched is None:
-                counts += received
-            elif touched.size:
-                counts[touched] += received[touched]
-        return (2 * counts > k).astype(_np.uint8), None
 
 
 # ---------------------------------------------------------------------
@@ -512,7 +536,6 @@ def network_records(
     seed: int,
     indices: Sequence[int],
     *,
-    prefetch: int = 4096,
     collect_times: bool = False,
 ) -> tuple[list[TrialRecord], list[float] | None]:
     """Run the given global trial indices through the batched kernel.
@@ -546,12 +569,9 @@ def network_records(
             for index in indices
         ]
         threshold = epsilon if epsilon > 0.0 else edge_epsilon
-        batch_flips = BatchFlips(
-            [channel._rng for channel in channels],
-            threshold,
-            columns=prefetch,
-        )
-        streams = [batch_flips.stream(row) for row in range(trials)]
+        streams = [
+            FlipStream(channel._rng, threshold) for channel in channels
+        ]
     vchan = _BatchNetworkChannel(
         probe.topology,
         trials,

@@ -89,9 +89,11 @@ class VectorizedRunner(TrialRunner):
 
     Args:
         prefetch: Shared-noise flip indicators prefetched per trial into
-            the batch bit-matrix; draws beyond it continue seamlessly
-            from each trial's transferred generator state.  Purely an
-            amortization knob — results are identical for any value.
+            the batch bit-matrix of the single-hop schemes; draws beyond
+            it continue seamlessly from each trial's transferred
+            generator state.  Purely an amortization knob — results are
+            identical for any value.  Network batches read per-trial
+            flip streams directly and ignore it.
 
     Requires numpy (raises :class:`~repro.errors.ConfigurationError` at
     construction when missing, so callers can gate on it cleanly).
@@ -192,7 +194,6 @@ class VectorizedRunner(TrialRunner):
                 executor,
                 seed,
                 indices,
-                prefetch=self.prefetch,
                 collect_times=collect_times,
             )
         return self._collapsed_records(

@@ -19,7 +19,12 @@ runners over the graph protocol grid:
 * sampled vectorized trials replay bitwise on the scalar engine from
   their ``(seed, index)`` alone, observer events match, and the
   composed vectorized-process backend stripes the same batch to the
-  same records.
+  same records;
+* the local-broadcast burst fold (one kernel step and one draw window
+  per trial per virtual round) matches the scalar engine's ``k``
+  physical rounds for windows that straddle a flip-stream refill, for
+  short high-noise bursts whose wrong majorities change outcomes, and
+  for self-hearing beepers; a call-count guard pins its cost shape.
 """
 
 from __future__ import annotations
@@ -247,3 +252,171 @@ class TestNetworkFallbacks:
             simulator=SimulatorSpec.of(RepetitionSimulator),
         )
         self._assert_fallback(task, executor)
+
+
+def _wrapped_executor(task, channel_spec, **params):
+    from repro.simulation import SimulationParameters
+
+    return SimulationExecutor(
+        task=task,
+        channel=channel_spec,
+        simulator=SimulatorSpec.of(
+            LocalBroadcastSimulator, SimulationParameters(**params)
+        ),
+    )
+
+
+class TestBurstFold:
+    """The local-broadcast burst fold: one kernel step and one ``k·n``
+    (or ``k·m``) draw window per trial per virtual round, reduced to
+    per-node vote counts, must replay the scalar engine's ``k``
+    separate physical rounds bitwise."""
+
+    @pytest.mark.parametrize("task_name", ["broadcast", "mis"])
+    def test_burst_window_straddles_stream_refill(self, task_name):
+        """``k·n`` beyond the flip stream's refill block: every burst
+        window is served from two or more refills."""
+        from repro.network.local_broadcast import local_broadcast_repetitions
+        from repro.vectorized.noise import _FLIP_BLOCK
+
+        topology_spec = TopologySpec.of("grid", rows=12, cols=12)
+        topology = topology_spec.build()
+        task = (
+            BroadcastTask(topology)
+            if task_name == "broadcast"
+            else MISTask(topology, cycles=1)
+        )
+        channel_spec = ChannelSpec.of(
+            NetworkBeepingChannel, 0.2, topology=topology_spec
+        )
+        k = local_broadcast_repetitions(
+            topology.max_in_degree,
+            task.noiseless_protocol().length(),
+            0.2,
+        )
+        assert k * topology.n > _FLIP_BLOCK
+        executor = _executor(task, channel_spec, wrapped=True)
+        serial = SerialRunner().run_trials(task, executor, 3, seed=12)
+        runner = VectorizedRunner()
+        vectorized = runner.run_trials(task, executor, 3, seed=12)
+        assert runner.last_fallback_reason is None
+        assert vectorized.records == serial.records
+
+    @pytest.mark.parametrize("noise", ["node", "edge"])
+    @pytest.mark.parametrize("task_name", TASKS)
+    def test_short_bursts_at_high_noise(self, noise, task_name):
+        """``k = 3`` at ε = 0.3: majorities are often wrong, so the vote
+        arithmetic (and the flip accounting) decides the records."""
+        topology_spec = TOPOLOGY_SPECS["grid"]
+        task = _task(task_name, topology_spec)
+        if noise == "node":
+            channel_spec = ChannelSpec.of(
+                NetworkBeepingChannel, 0.3, topology=topology_spec
+            )
+        else:
+            channel_spec = ChannelSpec.of(
+                NetworkBeepingChannel,
+                topology=topology_spec,
+                edge_epsilon=0.3,
+            )
+        executor = _wrapped_executor(task, channel_spec, repetitions=3)
+        seed = 77
+        serial = SerialRunner().run_trials(task, executor, 8, seed=seed)
+        runner = VectorizedRunner()
+        vectorized = runner.run_trials(task, executor, 8, seed=seed)
+        assert runner.last_fallback_reason is None
+        assert vectorized.records == serial.records
+        noiseless = VectorizedRunner().run_trials(
+            task,
+            _wrapped_executor(
+                task,
+                _channel_spec(topology_spec, "noiseless"),
+                repetitions=3,
+            ),
+            8,
+            seed=seed,
+        )
+        assert vectorized.records != noiseless.records
+        # Same inputs, so only wrong majorities can change an outcome.
+        assert [r.success for r in vectorized.records] != [
+            r.success for r in noiseless.records
+        ]
+
+
+    @pytest.mark.parametrize("noise", ["node", "edge"])
+    @pytest.mark.parametrize("task_name", TASKS)
+    @pytest.mark.parametrize("repetitions", [1, 3])
+    def test_self_hearing_bursts(self, noise, task_name, repetitions):
+        """``hear_self=True``: a beeper's own reception is never erased,
+        so it must neither lose votes nor count as an erasure."""
+        topology_spec = TOPOLOGY_SPECS["ring"]
+        task = _task(task_name, topology_spec)
+        noise_kwargs = (
+            {"epsilon": 0.3} if noise == "node" else {"edge_epsilon": 0.3}
+        )
+        channel_spec = ChannelSpec.of(
+            NetworkBeepingChannel,
+            topology=topology_spec,
+            hear_self=True,
+            **noise_kwargs,
+        )
+        executor = _wrapped_executor(
+            task, channel_spec, repetitions=repetitions
+        )
+        serial = SerialRunner().run_trials(task, executor, 8, seed=5)
+        runner = VectorizedRunner()
+        vectorized = runner.run_trials(task, executor, 8, seed=5)
+        assert runner.last_fallback_reason is None
+        assert vectorized.records == serial.records
+
+class TestBurstFoldCallCounts:
+    """Regression guard by call counts, not timings: a noisy wrapped MIS
+    batch costs one kernel step per virtual round and one flip-stream
+    window per trial per virtual round, however large ``k`` is."""
+
+    def test_mis_batch_counts(self, monkeypatch):
+        from repro.vectorized import network as network_module
+        from repro.vectorized.noise import FlipStream
+
+        calls = {"step": 0, "take": 0}
+        streams = []
+        step = network_module.NetworkBatchKernel.step
+        take = FlipStream.take
+        init = FlipStream.__init__
+
+        def counting_step(self, *args):
+            calls["step"] += 1
+            return step(self, *args)
+
+        def counting_take(self, rounds):
+            calls["take"] += 1
+            return take(self, rounds)
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            streams.append(self)
+
+        monkeypatch.setattr(
+            network_module.NetworkBatchKernel, "step", counting_step
+        )
+        monkeypatch.setattr(FlipStream, "take", counting_take)
+        monkeypatch.setattr(FlipStream, "__init__", recording_init)
+
+        topology_spec = TOPOLOGY_SPECS["grid"]
+        task = _task("mis", topology_spec)
+        executor = _executor(
+            task, _channel_spec(topology_spec, "node"), wrapped=True
+        )
+        trials = 4
+        runner = VectorizedRunner()
+        batch = runner.run_trials(task, executor, trials, seed=3)
+        assert runner.last_fallback_reason is None
+
+        virtual_rounds = 2 * task.phases
+        k = batch.records[0].channel_rounds // virtual_rounds
+        assert k > 1
+        assert calls["step"] == virtual_rounds
+        assert calls["take"] == trials * virtual_rounds
+        assert len(streams) == trials
+        for stream in streams:
+            assert stream.draws == virtual_rounds * k * task.n_parties

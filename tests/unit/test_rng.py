@@ -132,10 +132,11 @@ class TestVectorizedStreamGolden:
     #: Batched *network* noise streams, master seed 0, 3x3 grid graph.
     #: The network route wraps each per-trial channel's ``_rng`` — the
     #: same generator the scalar ``NetworkBeepingChannel`` walks with
-    #: ``random() < epsilon`` — in one BatchFlips, so these pins freeze
-    #: the per-node flip draws (epsilon=0.25: one indicator per node per
-    #: round) and the per-edge erasure draws (edge_epsilon=0.1: one per
-    #: delivery) end to end.
+    #: ``random() < epsilon`` — in a FlipStream, which serves the same
+    #: indicators as a BatchFlips row, so these pins freeze the per-node
+    #: flip draws (epsilon=0.25: one indicator per node per round) and
+    #: the per-edge erasure draws (edge_epsilon=0.1: one per delivery)
+    #: end to end.
     GOLDEN_NETWORK_NODE_PACKED = [[144, 144], [7, 81], [96, 35]]
     GOLDEN_NETWORK_NODE_FLIPS = [
         [1, 0, 0, 1, 0, 0, 0, 0, 1],
@@ -168,7 +169,7 @@ class TestVectorizedStreamGolden:
         import pytest
 
         pytest.importorskip("numpy")
-        from repro.vectorized import BatchFlips
+        from repro.vectorized import BatchFlips, FlipStream
 
         channels = self._network_channels(epsilon=0.25)
         # Building a network channel consumes no draws: the batch reads
@@ -180,6 +181,13 @@ class TestVectorizedStreamGolden:
         assert batch.packed.tolist() == self.GOLDEN_NETWORK_NODE_PACKED
         for row, expected in enumerate(self.GOLDEN_NETWORK_NODE_FLIPS):
             assert batch.stream(row).take(9).tolist() == expected, row
+        for channel, expected in zip(
+            self._network_channels(epsilon=0.25),
+            self.GOLDEN_NETWORK_NODE_FLIPS,
+        ):
+            assert FlipStream(channel._rng, 0.25).take(9).tolist() == (
+                expected
+            )
         # The scalar channel's draw discipline — ``random() < epsilon``
         # per node per round — yields the same indicators.
         scalar = self._network_channels(epsilon=0.25)[0]
@@ -191,7 +199,7 @@ class TestVectorizedStreamGolden:
         import pytest
 
         pytest.importorskip("numpy")
-        from repro.vectorized import BatchFlips
+        from repro.vectorized import BatchFlips, FlipStream
 
         channels = self._network_channels(edge_epsilon=0.1)
         batch = BatchFlips(
@@ -200,7 +208,69 @@ class TestVectorizedStreamGolden:
         assert batch.packed.tolist() == self.GOLDEN_NETWORK_EDGE_PACKED
         for row, expected in enumerate(self.GOLDEN_NETWORK_EDGE_FLIPS):
             assert batch.stream(row).take(12).tolist() == expected, row
+        for channel, expected in zip(
+            self._network_channels(edge_epsilon=0.1),
+            self.GOLDEN_NETWORK_EDGE_FLIPS,
+        ):
+            assert FlipStream(channel._rng, 0.1).take(12).tolist() == (
+                expected
+            )
 
+
+
+class TestMISCoinsGolden:
+    """``MISTask.sample_inputs`` draws its coin tapes on a numpy copy of
+    the generator's Mersenne-Twister state and hands the advanced state
+    back.  Pinned against the scalar rule it replaces — ``rng.random() <
+    p_phase`` node by node, phase by phase — on grid 16x16 (126 phases):
+    identical coins, an identical next ``rng.random()``, and literals
+    freezing both."""
+
+    #: seed -> (total coins set, the generator's next double).
+    GOLDEN = {
+        0: (3616, 0.2522436564799294),
+        2026: (3644, 0.8618126529864996),
+    }
+
+    def test_coins_and_continuation_frozen(self):
+        import pytest
+
+        pytest.importorskip("numpy")
+        from repro.network import MISTask, TopologySpec
+
+        task = MISTask(TopologySpec.of("grid", rows=16, cols=16).build())
+        for seed, (total, next_double) in self.GOLDEN.items():
+            scalar = random.Random(seed)
+            expected = [
+                tuple(
+                    1 if scalar.random() < task.candidate_probability(p)
+                    else 0
+                    for p in range(task.phases)
+                )
+                for _ in range(task.n_parties)
+            ]
+            rng = random.Random(seed)
+            coins = task.sample_inputs(rng)
+            assert coins == expected, seed
+            assert all(type(coin) is int for coin in coins[0])
+            assert sum(map(sum, coins)) == total, seed
+            assert rng.random() == scalar.random() == next_double, seed
+
+    def test_gauss_state_survives(self):
+        import pytest
+
+        pytest.importorskip("numpy")
+        from repro.network import MISTask, TopologySpec
+
+        task = MISTask(TopologySpec.of("grid", rows=4, cols=4).build())
+        rng, scalar = random.Random(5), random.Random(5)
+        rng.gauss(0.0, 1.0)
+        scalar.gauss(0.0, 1.0)
+        task.sample_inputs(rng)
+        for _ in range(task.n_parties * task.phases):
+            scalar.random()
+        assert rng.getstate() == scalar.getstate()
+        assert rng.gauss(0.0, 1.0) == scalar.gauss(0.0, 1.0)
 
 class TestSpawn:
     def test_same_label_same_stream(self):
