@@ -45,6 +45,7 @@ from repro.core.protocol import Protocol
 from repro.errors import ConfigurationError, TaskError
 from repro.network.channel import NetworkBeepingChannel
 from repro.network.topology import Topology
+from repro.rng import numpy_stream
 from repro.tasks.base import Task
 
 __all__ = ["MISTask", "mis_protocol"]
@@ -157,9 +158,6 @@ class MISTask(Task):
         advanced state is handed back so ``rng`` continues exactly as if
         it had drawn them itself.
         """
-        # Deferred: the repro.vectorized package imports this module.
-        from repro.vectorized.noise import numpy_stream
-
         stream = numpy_stream(rng)
         probabilities = [
             self.candidate_probability(phase) for phase in range(self.phases)

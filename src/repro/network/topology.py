@@ -44,12 +44,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.errors import ConfigurationError
+import numpy as _np
 
-try:  # numpy accelerates BFS and feeds the vectorized network kernel.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+from repro.errors import ConfigurationError
+from repro.rng import numpy_stream
 
 __all__ = [
     "Topology",
@@ -111,44 +109,67 @@ class Topology:
 
         Neighbor lists are sorted and deduplicated; out-of-range entries
         and self-loops raise :class:`~repro.errors.ConfigurationError`
-        (self-hearing is a channel option, not a graph edge).
+        (self-hearing is a channel option, not a graph edge).  Delegates
+        to :meth:`from_edges`.
         """
         n = len(adjacency)
         if n < 1:
             raise ConfigurationError("a topology needs at least one node")
-        in_indptr = array("l", [0] * (n + 1))
-        in_indices = array("l")
-        out_degree = [0] * n
-        for node, neighbors in enumerate(adjacency):
-            cleaned = sorted(set(int(j) for j in neighbors))
-            for neighbor in cleaned:
-                if not 0 <= neighbor < n:
-                    raise ConfigurationError(
-                        f"node {node} lists out-of-range neighbor "
-                        f"{neighbor}"
-                    )
-                if neighbor == node:
-                    raise ConfigurationError(
-                        f"node {node} lists itself as a neighbor; use "
-                        "hear_self=True instead"
-                    )
-                out_degree[neighbor] += 1
-            in_indices.extend(cleaned)
-            in_indptr[node + 1] = len(in_indices)
-        # Reverse CSR: node j's out-list = every i with j in adjacency[i],
-        # collected in ascending i (so out-lists come out sorted too).
-        out_indptr = array("l", [0] * (n + 1))
-        total = 0
-        for node in range(n):
-            total += out_degree[node]
-            out_indptr[node + 1] = total
-        out_indices = array("l", [0] * total)
-        cursor = list(out_indptr[:n])
-        for node in range(n):
-            for position in range(in_indptr[node], in_indptr[node + 1]):
-                j = in_indices[position]
-                out_indices[cursor[j]] = node
-                cursor[j] += 1
+        sources: list[int] = []
+        degrees = []
+        for neighbors in adjacency:
+            before = len(sources)
+            sources.extend(int(j) for j in neighbors)
+            degrees.append(len(sources) - before)
+        try:
+            source_array = _np.array(sources, dtype=_np.int64)
+        except OverflowError:
+            raise ConfigurationError(
+                "a neighbor index does not fit in 64 bits"
+            ) from None
+        targets = _np.repeat(_np.arange(n, dtype=_np.int64), degrees)
+        return cls.from_edges(n, source_array, targets)
+
+    @classmethod
+    def from_edges(cls, n: int, sources, targets) -> "Topology":
+        """Build from arc arrays: node ``targets[k]`` hears ``sources[k]``.
+
+        Duplicate arcs collapse to one.  Both CSR directions come from
+        one sort of the int64 keys ``target·n + source`` (then
+        ``source·n + target``), a boundary mask that drops duplicates,
+        and ``bincount``/``cumsum`` pointers — no per-edge Python work.
+        Out-of-range nodes and self-loops raise
+        :class:`~repro.errors.ConfigurationError`, naming the first
+        offending ``(target, source)`` pair in sorted order.
+        """
+        if n < 1:
+            raise ConfigurationError("a topology needs at least one node")
+        sources = _np.asarray(sources, dtype=_np.int64)
+        targets = _np.asarray(targets, dtype=_np.int64)
+        if sources.shape != targets.shape:
+            raise ConfigurationError(
+                f"{sources.size} arc sources but {targets.size} targets"
+            )
+        _check_arcs(n, sources, targets)
+        keys = _sorted_keys(n, targets, sources)
+        del sources, targets
+        # keys = target·n + source: split in place into the in-CSR, and
+        # re-key the same arcs source-major for the out-CSR.
+        in_targets = keys // n
+        keys %= n
+        in_indptr = _long_array(_pointers(n, in_targets))
+        out_keys = keys * n
+        out_keys += in_targets
+        del in_targets
+        in_indices = _long_array(keys)
+        del keys
+        out_keys.sort()
+        out_sources = out_keys // n
+        out_keys %= n
+        out_indptr = _long_array(_pointers(n, out_sources))
+        del out_sources
+        out_indices = _long_array(out_keys)
+        del out_keys
         symmetric = (
             in_indptr == out_indptr and in_indices == out_indices
         )
@@ -191,16 +212,7 @@ class Topology:
         keeps iterating the ``array('l')`` originals — python-level
         indexing of numpy integers is measurably slower than of plain
         ints, so the pure-Python sparse walk never touches these.
-
-        Requires numpy (:class:`~repro.errors.ConfigurationError` when
-        missing — callers on the pure-Python path never need it).
         """
-        if _np is None:
-            raise ConfigurationError(
-                "Topology.csr_arrays requires numpy; the pure-Python "
-                "accessors (in_neighbors, bfs_distances, ...) work "
-                "without it"
-            )
         if self._csr_cache is None:
             dtype = (
                 _np.int32
@@ -223,13 +235,8 @@ class Topology:
     @property
     def max_in_degree(self) -> int:
         """The largest in-degree Δ (what local-broadcast calibrates on)."""
-        if _np is not None:
-            in_ptr = self.csr_arrays()[0]
-            return int(_np.diff(in_ptr).max(initial=0))
-        ptr = self._in_indptr
-        return max(
-            (ptr[i + 1] - ptr[i] for i in range(self.n)), default=0
-        )
+        in_ptr = self.csr_arrays()[0]
+        return int(_np.diff(in_ptr).max(initial=0))
 
     def adjacency_lists(self) -> list[tuple[int, ...]]:
         """The in-adjacency as plain lists of tuples (compat format)."""
@@ -239,37 +246,14 @@ class Topology:
         """Hop distance from ``source`` along *out* edges (the direction
         information floods); ``-1`` for unreachable nodes.
 
-        Runs a whole-frontier numpy walk over :meth:`csr_arrays` when
-        numpy is available, else the list-based loop.  Both are
-        bitwise-identical: a BFS distance is set exactly once (the first
-        level that reaches the node), so intra-level visit order cannot
-        change any entry.
+        Walks a whole frontier at a time over :meth:`csr_arrays`.  A BFS
+        distance is set exactly once (the first level that reaches the
+        node), so intra-level visit order cannot change any entry.
         """
         if not 0 <= source < self.n:
             raise ConfigurationError(
                 f"source {source} outside [0, {self.n})"
             )
-        if _np is not None:
-            return self._bfs_distances_numpy(source)
-        dist = [-1] * self.n
-        dist[source] = 0
-        frontier = [source]
-        ptr = self._out_indptr
-        idx = self._out_indices
-        depth = 0
-        while frontier:
-            depth += 1
-            next_frontier = []
-            for j in frontier:
-                for i in idx[ptr[j] : ptr[j + 1]]:
-                    if dist[i] < 0:
-                        dist[i] = depth
-                        next_frontier.append(i)
-            frontier = next_frontier
-        return dist
-
-    def _bfs_distances_numpy(self, source: int) -> list[int]:
-        """Frontier-at-a-time BFS over the numpy CSR mirrors."""
         _, _, ptr, idx = self.csr_arrays()
         dist = _np.full(self.n, -1, dtype=_np.int64)
         dist[source] = 0
@@ -307,9 +291,66 @@ class Topology:
         )
 
 
+def _check_arcs(n: int, sources, targets) -> None:
+    """Reject out-of-range nodes and self-loops, naming the first bad
+    ``(target, source)`` pair — the node and sorted neighbor an
+    adjacency-list scan would stop at."""
+    bad = (targets < 0) | (targets >= n)
+    if bad.any():
+        raise ConfigurationError(
+            f"arc target {int(targets[bad][0])} outside [0, {n})"
+        )
+    bad = (sources < 0) | (sources >= n) | (sources == targets)
+    if not bad.any():
+        return
+    bad_sources, bad_targets = sources[bad], targets[bad]
+    first = _np.lexsort((bad_sources, bad_targets))[0]
+    node, neighbor = int(bad_targets[first]), int(bad_sources[first])
+    if not 0 <= neighbor < n:
+        raise ConfigurationError(
+            f"node {node} lists out-of-range neighbor {neighbor}"
+        )
+    raise ConfigurationError(
+        f"node {node} lists itself as a neighbor; use hear_self=True "
+        "instead"
+    )
+
+
+def _sorted_keys(n: int, major, minor):
+    """The arcs as ascending, deduplicated int64 keys ``major·n + minor``
+    (``np.sort`` plus a boundary mask: far cheaper than ``np.unique``)."""
+    keys = major * n
+    keys += minor
+    keys.sort()
+    if keys.size > 1:
+        repeat = keys[1:] == keys[:-1]
+        if repeat.any():
+            keys = keys[_np.concatenate(([True], ~repeat))]
+    return keys
+
+
+def _pointers(n: int, major_sorted):
+    """CSR row pointers of the ascending ``major_sorted`` rows."""
+    ptr = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(_np.bincount(major_sorted, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def _long_array(values) -> array:
+    """``values`` as the ``array('l')`` storage the scalar walks index."""
+    storage = array("l")
+    values = _np.ascontiguousarray(values, dtype=_np.dtype("l"))
+    storage.frombytes(memoryview(values).cast("B"))
+    return storage
+
+
 # ----------------------------------------------------------------------
 # Generators
 # ----------------------------------------------------------------------
+
+
+#: Per-axis bin cap of :func:`_geometric` (keeps ``cells²`` in int64).
+_MAX_CELLS = 2**31
 
 
 def _complete(*, n: int) -> Topology:
@@ -376,52 +417,83 @@ def _grid(
 
 def _geometric(*, n: int, radius: float, seed: int = 0) -> Topology:
     """Random geometric graph: ``n`` points uniform in the unit square,
-    edges between pairs at Euclidean distance <= ``radius``.  Cell-binned
-    neighbor search: O(n) expected build, not O(n²)."""
+    edges between pairs at Euclidean distance <= ``radius``.
+
+    An O(n) expected numpy cell search.  The points are the first ``2n``
+    doubles of ``random.Random(seed)`` (x, y interleaved), binned into
+    ``cells × cells`` squares of side ``>= radius`` by
+    ``min(int(x / size), cells - 1)``; each pair of points in the same
+    or adjacent cells (a half stencil of five cell offsets, so each pair
+    is tried once) is an edge iff ``dx·dx + dy·dy <= radius²`` in
+    float64.  ``cells`` is capped at 2^31 per axis so the cell keys fit
+    in int64; wider bins only add candidate pairs, never edges.
+    """
     if n < 1:
         raise ConfigurationError(f"need >= 1 node, got {n}")
     if not 0.0 < radius <= math.sqrt(2.0):
         raise ConfigurationError(
             f"radius must be in (0, sqrt(2)], got {radius}"
         )
-    rng = random.Random(seed)
-    xs = [0.0] * n
-    ys = [0.0] * n
-    for i in range(n):
-        xs[i] = rng.random()
-        ys[i] = rng.random()
-    cells = max(1, int(1.0 / radius))
+    points = numpy_stream(random.Random(seed)).random_sample(2 * n)
+    xs, ys = points[0::2], points[1::2]
+    cells = max(1, int(min(1.0 / radius, _MAX_CELLS)))
     size = 1.0 / cells
-    bins: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        key = (min(int(xs[i] / size), cells - 1),
-               min(int(ys[i] / size), cells - 1))
-        bins.setdefault(key, []).append(i)
+    cx = _np.minimum((xs / size).astype(_np.int64), cells - 1)
+    cy = _np.minimum((ys / size).astype(_np.int64), cells - 1)
+    # Points sorted by cell (ascending index within a cell), and the
+    # occupied cells with their runs in that order.
+    order = _np.argsort(cx * cells + cy, kind="stable")
+    cell_x, cell_y = cx[order], cy[order]
+    cell_keys = cell_x * cells + cell_y
+    del cx, cy
+    first = _np.concatenate(([True], cell_keys[1:] != cell_keys[:-1]))
+    run_starts = _np.nonzero(first)[0]
+    occupied = cell_keys[run_starts]
+    run_counts = _np.diff(_np.append(run_starts, n))
+    run_of = _np.cumsum(first) - 1  # each sorted point's run
     r2 = radius * radius
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for (cx, cy), members in bins.items():
-        for dx in (0, 1):
-            for dy in ((-1, 0, 1) if dx else (0, 1)):
-                others = bins.get((cx + dx, cy + dy))
-                if others is None:
-                    continue
-                if dx == 0 and dy == 0:
-                    for a_pos, i in enumerate(members):
-                        for j in members[a_pos + 1 :]:
-                            dx_ = xs[i] - xs[j]
-                            dy_ = ys[i] - ys[j]
-                            if dx_ * dx_ + dy_ * dy_ <= r2:
-                                adjacency[i].append(j)
-                                adjacency[j].append(i)
-                else:
-                    for i in members:
-                        for j in others:
-                            dx_ = xs[i] - xs[j]
-                            dy_ = ys[i] - ys[j]
-                            if dx_ * dx_ + dy_ * dy_ <= r2:
-                                adjacency[i].append(j)
-                                adjacency[j].append(i)
-    return Topology.from_adjacency(adjacency)
+    # Candidate arrays are freed as soon as they are spent: the build's
+    # peak, not the rounds', sets a large flood's peak memory.
+    firsts = [_np.zeros(0, dtype=_np.int64)]
+    seconds = [_np.zeros(0, dtype=_np.int64)]
+    for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
+        if dx == 0 and dy == 0:
+            # Within a cell: each point pairs with the ones after it.
+            starts = _np.arange(1, n + 1)
+            counts = run_starts[run_of] + run_counts[run_of] - starts
+        else:
+            nx, ny = cell_x + dx, cell_y + dy
+            valid = (nx < cells) & (ny >= 0) & (ny < cells)
+            wanted = nx * cells + ny
+            hit = _np.minimum(
+                _np.searchsorted(occupied, wanted), occupied.size - 1
+            )
+            valid &= occupied[hit] == wanted
+            starts = run_starts[hit]
+            counts = _np.where(valid, run_counts[hit], 0)
+        total = int(counts.sum())
+        if not total:
+            continue
+        offsets = _np.repeat(_np.cumsum(counts) - counts, counts)
+        partner = order[
+            _np.arange(total) - offsets + _np.repeat(starts, counts)
+        ]
+        point = _np.repeat(order, counts)
+        del offsets
+        ddx = xs[point] - xs[partner]
+        ddy = ys[point] - ys[partner]
+        close = ddx * ddx + ddy * ddy <= r2
+        del ddx, ddy
+        firsts.append(point[close])
+        seconds.append(partner[close])
+        del point, partner, close
+    a = _np.concatenate(firsts)
+    b = _np.concatenate(seconds)
+    del firsts, seconds
+    sources = _np.concatenate((a, b))
+    targets = _np.concatenate((b, a))
+    del a, b
+    return Topology.from_edges(n, sources, targets)
 
 
 def _scale_free(*, n: int, m: int = 2, seed: int = 0) -> Topology:

@@ -10,6 +10,10 @@ decorrelated but each is individually reproducible.
 The design mirrors "splittable" PRNGs: :func:`spawn` hashes the parent seed
 together with a string label, so the derived stream depends only on
 ``(seed, label)`` and not on the order in which other streams were created.
+
+:func:`numpy_stream` hands a generator's exact uniform stream to numpy, so
+batched code (topology generators, input samplers, the vectorized noise
+streams) can draw many doubles at once without changing a single value.
 """
 
 from __future__ import annotations
@@ -18,7 +22,17 @@ import hashlib
 import random
 from typing import Iterator
 
-__all__ = ["derive_seed", "spawn", "spawn_many", "ensure_rng"]
+import numpy as _np
+
+from repro.errors import ConfigurationError
+
+__all__ = [
+    "derive_seed",
+    "spawn",
+    "spawn_many",
+    "ensure_rng",
+    "numpy_stream",
+]
 
 _SEED_BYTES = 8
 
@@ -68,3 +82,23 @@ def ensure_rng(rng: random.Random | int | None) -> random.Random:
     if rng is None:
         return random.Random()
     return random.Random(rng)
+
+
+def numpy_stream(rng: random.Random) -> _np.random.RandomState:
+    """A ``RandomState`` continuing ``rng``'s exact uniform stream.
+
+    CPython's ``random.Random`` and numpy's legacy ``RandomState`` share
+    both the MT19937 core and the 53-bit double construction, so after the
+    state transfer ``random_sample(k)`` returns exactly the next ``k``
+    values ``rng.random()`` would have produced.  ``rng`` itself is left
+    untouched (its state is copied, not consumed).
+    """
+    version, internal, _gauss = rng.getstate()
+    if version != 3:  # pragma: no cover - CPython has used version 3 forever
+        raise ConfigurationError(
+            f"unsupported random.Random state version {version}"
+        )
+    key, pos = internal[:-1], internal[-1]
+    stream = _np.random.RandomState()
+    stream.set_state(("MT19937", _np.asarray(key, dtype=_np.uint32), pos))
+    return stream

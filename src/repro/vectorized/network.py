@@ -34,8 +34,25 @@ decode and the up/down flip accounting then run once over the
 ``(nodes × trials)`` matrix.  ``k = 1`` (raw noisy protocols) is the
 same fold.  The batched drivers re-run the party state machines of the
 network tasks (neighbor-OR, flooding broadcast, MIS election) over
-whole-batch matrices.  Every trial of a batch is bitwise identical —
-records, noise accounting, draw counts — to the scalar engine's
+whole-batch matrices.
+
+Flooding broadcast walks each edge once per batch (flood-once).  Its
+beep matrix ``B`` is monotone: an informed bit is set once and never
+cleared, so the clean reception only grows, and round ``r``'s is round
+``r − 1``'s OR the out-neighborhoods of the rows that gained a bit in
+round ``r − 1``.  The driver passes those ``fresh`` rows to
+``virtual_round``, which steps the kernel over them alone, ORs the
+result into an accumulated clean matrix, and returns as ``touched`` the
+rows reached this round — the only rows whose clean reception can rise,
+so the driver scans O(new deliveries) rows, not the informed set.  Beep
+and OR accounting still counts the full active set, and per-node noise
+folds on top of the accumulated matrix.  Per-edge erasure noise is
+excluded: it draws one erasure per delivery of every beeper in every
+round, so it keeps the full per-round walk.  Neighbor-OR and MIS clear
+beeps, so they keep ``step(B, active)``.
+
+Every trial of a batch is bitwise identical — records, noise
+accounting, draw counts — to the scalar engine's
 :func:`~repro.parallel.runner.run_trial` for the same ``(seed,
 index)``, which is what ``tests/unit/
 test_network_vectorized_equivalence.py`` pins.
@@ -196,9 +213,10 @@ class _BatchNetworkChannel:
     are taken as one window from its
     :class:`~repro.vectorized.noise.FlipStream` and reduced to per-node
     vote counts.  ``virtual_round`` returns ``(received, touched)``
-    where ``touched`` lists the possibly-nonzero rows (or ``None`` when
-    any row may be set, e.g. under per-node noise); ``received`` is only
-    valid until the next call.
+    where ``touched`` lists the possibly-nonzero rows — in flood-once
+    mode, the rows reached this round — or is ``None`` when any row may
+    be set (per-node noise); ``received`` is only valid until the next
+    call.
     """
 
     def __init__(
@@ -225,6 +243,8 @@ class _BatchNetworkChannel:
         self.or_ones = _np.zeros(trials, dtype=_np.int64)
         self.flips_up = _np.zeros(trials, dtype=_np.int64)
         self.flips_down = _np.zeros(trials, dtype=_np.int64)
+        # Accumulated clean reception of the flood-once mode.
+        self._clean: Any = None
         if epsilon > 0.0:
             # Per-(trial, node) flip counts of the current burst.
             self._flips = _np.zeros((trials, self.n), dtype=_np.int32)
@@ -245,17 +265,37 @@ class _BatchNetworkChannel:
         self.or_ones += (beeps > 0).astype(_np.int64) * k
         self.rounds += k
 
-    def virtual_round(self, B, active):
+    def virtual_round(self, B, active, fresh=None):
         """One inner-protocol round: ``k`` physical rounds of ``B`` with
-        per-node strict-majority decode (``k = 1``: the round itself)."""
+        per-node strict-majority decode (``k = 1``: the round itself).
+
+        ``fresh`` (flood-once mode, for drivers whose ``B`` only grows)
+        lists the rows that changed since the previous call; only their
+        out-neighborhoods are walked, OR-ed into the batch's accumulated
+        clean reception, and ``touched`` is then the rows reached this
+        round.  Per-edge erasures ignore it (they draw per delivery per
+        round).
+        """
         self._count_round(B, active)
         if self.edge_epsilon > 0.0:
             return self._edge_noise(B, active)
-        heard, touched = self.kernel.step(B, active)
+        if fresh is None:
+            heard, touched = self.kernel.step(B, active)
+        else:
+            heard, touched = self._flood_step(B, fresh)
         if self.epsilon > 0.0:
             return self._node_noise(heard), None
         # Majority of k identical clean receptions is the reception.
         return heard, touched
+
+    def _flood_step(self, B, fresh):
+        """The clean reception of a monotone ``B``: last round's OR the
+        out-neighborhoods of the ``fresh`` rows, and the rows reached."""
+        if self._clean is None:
+            self._clean = _np.zeros((self.n, self.trials), dtype=_np.uint8)
+        heard, reached = self.kernel.step(B, fresh)
+        self._clean[reached] |= heard[reached]
+        return self._clean, reached
 
     def _node_noise(self, heard):
         """Per-node flip draws of one burst, folded to vote counts.
@@ -360,7 +400,11 @@ def _run_neighbor_or(protocol, inputs, vchan):
 
 def _run_broadcast(protocol, inputs, vchan):
     """``_BroadcastParty``: node 0 floods its bit; a listener beeps from
-    the round *after* it first hears, and outputs 1 iff informed."""
+    the round *after* it first hears, and outputs 1 iff informed.
+
+    Informed bits are never cleared, so ``B`` only grows: each round
+    hands the channel just the rows that gained a bit (flood-once), and
+    only the rows it reports reached can newly be informed."""
     n, trials = vchan.n, vchan.trials
     bits = _np.asarray([row[0] for row in inputs], dtype=_np.uint8)
     informed = _np.zeros((n, trials), dtype=_np.uint8)
@@ -369,19 +413,19 @@ def _run_broadcast(protocol, inputs, vchan):
     active_mask = _np.zeros(n, dtype=_np.uint8)
     active_mask[0] = 1
     active = _np.nonzero(active_mask)[0]
+    fresh = active
     for _ in range(protocol.rounds):
-        received, touched = vchan.virtual_round(B, active)
+        received, touched = vchan.virtual_round(B, active, fresh)
         if touched is None:
             updated = _np.nonzero(received.any(axis=1))[0]
-        elif touched.size:
-            updated = touched[received[touched].any(axis=1)]
         else:
-            updated = touched
+            updated = touched[received[touched].any(axis=1)]
         updated = updated[updated != 0]  # the source never listens
-        if updated.size:
-            informed[updated] |= received[updated]
-            B[updated] = informed[updated]
-            active_mask[updated] = 1
+        fresh = updated[(received[updated] > informed[updated]).any(axis=1)]
+        if fresh.size:
+            informed[fresh] |= received[fresh]
+            B[fresh] = informed[fresh]
+            active_mask[fresh] = 1
             active = _np.nonzero(active_mask)[0]
     outputs = informed.T.tolist()
     for trial in range(trials):

@@ -10,8 +10,9 @@ on beeping rounds.  That means the *flip indicator stream* — the sequence
 behaviour, and a trial's noise can be replayed bitwise from any generator
 producing the same uniforms.
 
-:func:`numpy_stream` transfers a ``random.Random``'s Mersenne-Twister state
-into a ``numpy.random.RandomState``: both generate doubles with the same
+:func:`~repro.rng.numpy_stream` (re-exported here) transfers a
+``random.Random``'s Mersenne-Twister state into a
+``numpy.random.RandomState``: both generate doubles with the same
 ``genrand_res53`` recipe, so ``random_sample(k)`` reproduces ``k`` calls of
 ``Random.random()`` exactly (verified by golden pins in
 ``tests/unit/test_rng.py`` and property tests).  :class:`FlipStream` builds
@@ -26,6 +27,7 @@ from __future__ import annotations
 import random
 
 from repro.errors import ConfigurationError
+from repro.rng import numpy_stream
 
 try:  # numpy is an optional dependency of the vectorized backend only.
     import numpy as _np
@@ -54,27 +56,6 @@ def require_numpy() -> None:
             "the vectorized backend requires numpy; install numpy or use "
             "the serial/process backends (--backend serial|process)"
         )
-
-
-def numpy_stream(rng: random.Random) -> "_np.random.RandomState":
-    """A ``RandomState`` continuing ``rng``'s exact uniform stream.
-
-    CPython's ``random.Random`` and numpy's legacy ``RandomState`` share
-    both the MT19937 core and the 53-bit double construction, so after the
-    state transfer ``random_sample(k)`` returns exactly the next ``k``
-    values ``rng.random()`` would have produced.  ``rng`` itself is left
-    untouched (its state is copied, not consumed).
-    """
-    require_numpy()
-    version, internal, _gauss = rng.getstate()
-    if version != 3:  # pragma: no cover - CPython has used version 3 forever
-        raise ConfigurationError(
-            f"unsupported random.Random state version {version}"
-        )
-    key, pos = internal[:-1], internal[-1]
-    stream = _np.random.RandomState()
-    stream.set_state(("MT19937", _np.asarray(key, dtype=_np.uint32), pos))
-    return stream
 
 
 class FlipStream:

@@ -24,7 +24,11 @@ runners over the graph protocol grid:
   per trial per virtual round) matches the scalar engine's ``k``
   physical rounds for windows that straddle a flip-stream refill, for
   short high-noise bursts whose wrong majorities change outcomes, and
-  for self-hearing beepers; a call-count guard pins its cost shape.
+  for self-hearing beepers; a call-count guard pins its cost shape;
+* flood-once broadcast (each round walks only the rows that gained a
+  bit, OR-ed into an accumulated clean reception) matches the scalar
+  engine on a partly unreachable geometric graph and on a directed
+  graph, and a work-count guard pins that every edge is walked once.
 """
 
 from __future__ import annotations
@@ -420,3 +424,144 @@ class TestBurstFoldCallCounts:
         assert len(streams) == trials
         for stream in streams:
             assert stream.draws == virtual_rounds * k * task.n_parties
+
+
+def _directed_topology():
+    """A directed graph (``Topology.from_adjacency``): node ``i`` hears a
+    few random nodes, so reachability from node 0 follows the arcs one
+    way only and some nodes are never reached."""
+    import random
+
+    from repro.network import Topology
+
+    rng = random.Random(11)
+    n = 48
+    return Topology.from_adjacency(
+        [
+            [j for j in rng.sample(range(n), 2) if j != i]
+            if i % 7
+            else []
+            for i in range(n)
+        ]
+    )
+
+
+#: Flood-once graphs: a geometric graph with 46 of 300 nodes unreachable
+#: from node 0, and a directed graph handed to the channel spec as a
+#: built ``Topology`` rather than a spec.
+FLOOD_GRAPHS = ("geometric-300", "directed")
+
+
+def _flood_case(graph, noise, hear_self):
+    if graph == "geometric-300":
+        topology_spec = TopologySpec.of(
+            "geometric", n=300, radius=0.08, seed=1
+        )
+        topology = topology_spec.build()
+        spec_kwargs = {"topology": topology_spec}
+        args = ()
+    else:
+        topology = _directed_topology()
+        spec_kwargs = {}
+        args = (topology,)
+    if noise == "node":
+        spec_kwargs["epsilon"] = 0.05
+    elif noise == "edge":
+        spec_kwargs["edge_epsilon"] = 0.1
+    else:
+        spec_kwargs["seed_kwarg"] = None
+    channel_spec = ChannelSpec.of(
+        NetworkBeepingChannel, *args, hear_self=hear_self, **spec_kwargs
+    )
+    return BroadcastTask(topology), channel_spec
+
+
+class TestFloodOnce:
+    """Broadcast's beep matrix only grows, so each round walks just the
+    rows that gained a bit; records must still equal the scalar
+    engine's for every noise kind, with and without the wrapper."""
+
+    SEED = 8
+
+    @pytest.mark.parametrize("graph", FLOOD_GRAPHS)
+    @pytest.mark.parametrize("noise", NOISE_KINDS)
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["raw", "lb"])
+    @pytest.mark.parametrize(
+        "hear_self", [False, True], ids=["deaf", "self"]
+    )
+    def test_records_bitwise_equal(self, graph, noise, wrapped, hear_self):
+        task, channel_spec = _flood_case(graph, noise, hear_self)
+        executor = _executor(task, channel_spec, wrapped)
+        serial = SerialRunner().run_trials(task, executor, 4, seed=self.SEED)
+        runner = VectorizedRunner()
+        vectorized = runner.run_trials(task, executor, 4, seed=self.SEED)
+        assert runner.last_fallback_reason is None
+        assert vectorized.records == serial.records
+
+    def test_cases_cover_both_bits_and_unreachable_nodes(self):
+        """Non-vacuity: the seed gives some trials source bit 0, and
+        both graphs leave nodes out of node 0's reach."""
+        from repro.rng import spawn
+
+        for graph in FLOOD_GRAPHS:
+            task, _ = _flood_case(graph, "noiseless", False)
+            bits = {
+                task.sample_inputs(spawn(self.SEED, f"inputs[{i}]"))[0]
+                for i in range(4)
+            }
+            assert bits == {0, 1}
+            distances = task.topology.bfs_distances(0)
+            assert -1 in distances
+            assert max(distances) > 1
+
+
+class TestFloodOnceWork:
+    """Regression guard by counted work, not timings: a noiseless
+    broadcast batch walks every beeping node's out-list exactly once,
+    in one kernel step per round."""
+
+    def test_each_edge_walked_once(self, monkeypatch):
+        from repro.vectorized import network as network_module
+
+        kernel = network_module.NetworkBatchKernel
+        work = {"deliveries": 0, "steps": 0}
+        walk, step = kernel._walk, kernel.step
+
+        def counting_walk(self, *args, **kwargs):
+            targets, counts = walk(self, *args, **kwargs)
+            work["deliveries"] += int(counts.sum())
+            return targets, counts
+
+        def counting_step(self, *args, **kwargs):
+            work["steps"] += 1
+            return step(self, *args, **kwargs)
+
+        monkeypatch.setattr(kernel, "_walk", counting_walk)
+        monkeypatch.setattr(kernel, "step", counting_step)
+
+        topology_spec = TopologySpec.of(
+            "geometric", n=300, radius=0.08, seed=1
+        )
+        topology = topology_spec.build()
+        task = BroadcastTask(topology)
+        executor = ProtocolExecutor(
+            task, _channel_spec(topology_spec, "noiseless")
+        )
+        runner = VectorizedRunner()
+        batch = runner.run_trials(task, executor, 6, seed=8)
+        assert runner.last_fallback_reason is None
+        assert any(record.beeps_sent for record in batch.records)
+
+        # Nodes that ever beep: the source, and every node informed
+        # before the last round (it beeps from the round after).
+        distances = topology.bfs_distances(0)
+        beepers = [
+            node
+            for node, distance in enumerate(distances)
+            if 0 <= distance < task.rounds
+        ]
+        assert work["deliveries"] == sum(
+            topology.out_degree(node) for node in beepers
+        )
+        assert work["steps"] == task.rounds
+

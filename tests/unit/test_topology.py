@@ -1,8 +1,10 @@
 """Unit tests for topology generators and the TopologySpec API."""
 
+import hashlib
 import json
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -34,6 +36,61 @@ class TestTopologyClass:
     def test_max_in_degree(self):
         star = Topology.from_adjacency([(1, 2, 3), (0,), (0,), (0,)])
         assert star.max_in_degree == 3
+
+    def test_from_adjacency_error_messages(self):
+        with pytest.raises(
+            ConfigurationError, match="node 1 lists out-of-range neighbor 3"
+        ):
+            Topology.from_adjacency([(1,), (0, 3), (0,)])
+        with pytest.raises(
+            ConfigurationError, match="node 0 lists out-of-range neighbor -1"
+        ):
+            Topology.from_adjacency([(1, -1), (5,)])
+        with pytest.raises(
+            ConfigurationError,
+            match="node 2 lists itself as a neighbor; use hear_self=True",
+        ):
+            Topology.from_adjacency([(1,), (0,), (0, 2, 7)])
+        # The first offending node wins, and within it the smallest
+        # offending neighbor (range and self-loop checks interleaved).
+        with pytest.raises(
+            ConfigurationError, match="node 1 lists itself as a neighbor"
+        ):
+            Topology.from_adjacency([(1,), (9, 1), (9,)])
+        with pytest.raises(ConfigurationError, match="at least one node"):
+            Topology.from_adjacency([])
+
+    def test_from_adjacency_sorts_dedupes_both_directions(self):
+        topology = Topology.from_adjacency([(2, 2, 1), (2, 0, 0), ()])
+        assert topology.adjacency_lists() == [(1, 2), (0, 2), ()]
+        assert topology.out_neighbors(2) == (0, 1)
+        assert topology.out_neighbors(0) == (1,)
+        assert topology.edges == 4
+        assert not topology.symmetric
+
+    def test_from_edges_matches_from_adjacency(self):
+        adjacency = [(3, 1), (0,), (0, 1, 3), ()]
+        targets = [i for i, row in enumerate(adjacency) for _ in row]
+        sources = [j for row in adjacency for j in row]
+        built = Topology.from_edges(4, sources + sources, targets + targets)
+        reference = Topology.from_adjacency(adjacency)
+        for node in range(4):
+            assert built.in_neighbors(node) == reference.in_neighbors(node)
+            assert built.out_neighbors(node) == reference.out_neighbors(
+                node
+            )
+        assert built.edges == reference.edges == 6
+        assert built.symmetric == reference.symmetric
+
+    def test_from_edges_rejects_bad_arcs(self):
+        with pytest.raises(ConfigurationError, match="arc target 4"):
+            Topology.from_edges(4, [0], [4])
+        with pytest.raises(ConfigurationError, match="out-of-range"):
+            Topology.from_edges(4, [4], [0])
+        with pytest.raises(ConfigurationError, match="itself"):
+            Topology.from_edges(4, [2], [2])
+        with pytest.raises(ConfigurationError, match="sources"):
+            Topology.from_edges(4, [0, 1], [1])
 
 
 class TestGenerators:
@@ -81,6 +138,103 @@ class TestGenerators:
         assert all(d >= 0 for d in topology.bfs_distances(0))
         # Preferential attachment adds <= m edges per arriving node.
         assert topology.edges <= 2 * (2 * 80)
+
+
+def _csr_digests(topology):
+    return tuple(
+        hashlib.blake2b(
+            np.asarray(values, dtype="<i8").tobytes(), digest_size=16
+        ).hexdigest()
+        for values in (
+            topology._in_indptr,
+            topology._in_indices,
+            topology._out_indptr,
+            topology._out_indices,
+        )
+    )
+
+
+class TestGeometricGolden:
+    """The geometric generator's graphs, pinned by BLAKE2b digests of
+    the four CSR arrays (as little-endian int64) recorded from the
+    original pure-Python cell search, plus the sweep cache keys of
+    geometric grids — neither may move."""
+
+    #: (n, radius, seed) -> (in_ptr, in_idx, out_ptr, out_idx digests),
+    #: arc count.  Every graph is undirected, so in and out coincide.
+    GOLDEN = {
+        (16000, 0.0165, 0): (
+            ("185a21121f5c3579a55f5b1d0ac5de5f",
+             "ebe71ba490e268f31feab49c961e4cb2"),
+            217066,
+        ),
+        (2000, 0.03, 7): (
+            ("59fa73dc7f26d527dfff1e9035c8bdb3",
+             "841071bc98048a45035b333f2d61cf0e"),
+            10750,
+        ),
+        (500, 0.1, 3): (
+            ("6b3d4513be507895bc0015af5e2f0967",
+             "91be8f4a1d5923962808887d6be488ec"),
+            7224,
+        ),
+        (300, 1.2, 1): (
+            ("a3c6cc77127f27a235538d7c05a6ff1b",
+             "ea7c2a1a1aa796e4648f36b7b6fffd6f"),
+            89546,
+        ),
+        (8, 0.7, 3): (
+            ("cff90972b3f4a5d198c37bc410fd2a34",
+             "c696e0f4925587e0bbe2e9bbdfddb110"),
+            44,
+        ),
+        (1, 0.5, 0): (
+            ("463be1d58a72e9618ea59884367c4358",
+             "cae66941d9efbd404e4d88758ea67670"),
+            0,
+        ),
+    }
+
+    @pytest.mark.parametrize("point", sorted(GOLDEN))
+    def test_csr_arrays_pinned(self, point):
+        n, radius, seed = point
+        (ptr_digest, idx_digest), edges = self.GOLDEN[point]
+        topology = TOPOLOGIES["geometric"].builder(
+            n=n, radius=radius, seed=seed
+        )
+        assert _csr_digests(topology) == (
+            ptr_digest, idx_digest, ptr_digest, idx_digest
+        )
+        assert topology.symmetric
+        assert topology.edges == edges
+
+    def test_labels_and_sweep_keys_pinned(self):
+        from repro.service.grid import SweepGrid
+
+        pinned = parse_topology("geometric:n=16000,r=0.0165,seed=0")
+        open_spec = TopologySpec.of("geometric", radius=0.2, seed=7)
+        assert pinned.label() == "geometric:n=16000,radius=0.0165,seed=0"
+        assert open_spec.label() == "geometric:radius=0.2,seed=7"
+        assert (
+            open_spec.with_n(50).label() == "geometric:n=50,radius=0.2,seed=7"
+        )
+        broadcast = SweepGrid(
+            task="broadcast", ns=(16000,), channel="noiseless",
+            epsilon=0.0, simulator="none", trials=8, seed=0,
+            topology=pinned,
+        )
+        assert broadcast.grid_key() == "7bb110aff893fcdca5ec2e3f56aa8e32"
+        assert broadcast.point_key(0) == "5c8ae32c3e9736636024ea3d4a107b50"
+        mis = SweepGrid(
+            task="mis", ns=(50, 100), channel="independent", epsilon=0.1,
+            simulator="local-broadcast", trials=6, seed=3,
+            topology=open_spec,
+        )
+        assert mis.grid_key() == "6aba08b485aede6d3f6c72b23afa6ab4"
+        assert [mis.point_key(i) for i in range(2)] == [
+            "b184744ba17e22fd0d96ac9a87b05a8e",
+            "ac92be71ed0666e7d04463dc9668f206",
+        ]
 
 
 class TestTopologySpec:
