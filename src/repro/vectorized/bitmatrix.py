@@ -10,8 +10,8 @@ them and plain 0/1 arrays:
 * **byte-per-position** — the hot-path mask layout introduced by the
   scalar ML decoder (``repro.coding.ml._word_to_int`` packs a word with
   ``bytes(word)``, one byte per position, big-endian).  A uint8 array's
-  ``tobytes()`` is exactly that packing, so vectorized received words and
-  scalar integer masks address the same memo space;
+  ``tobytes()`` is exactly that packing, so a vectorized received word
+  and the scalar integer mask of the same word carry the same bytes;
   :func:`mask_int` / :func:`bits_from_mask` are the bridge, pinned
   against the scalar decoder by the property suite.
 """

@@ -65,7 +65,8 @@ class FlipStream:
     generated in vectorized blocks.  The buffer is a ``bytes`` of 0/1 so
     the three access patterns of the collapsed schemes are all C-speed:
     ``take1`` (one round), ``count`` (popcount of a constant-OR window),
-    and ``take`` (a codeword window as a uint8 array).
+    and ``take`` (a codeword window as a uint8 array); ``peek`` reads
+    ahead without consuming.
 
     Args:
         rng: The channel's generator; its current state is copied.
@@ -145,6 +146,27 @@ class FlipStream:
         if not pieces:
             return _np.zeros(0, dtype=_np.uint8)
         return _np.concatenate(pieces)
+
+    def peek(self, rounds: int) -> "_np.ndarray":
+        """The next ``rounds`` indicators as a uint8 array, *not* consumed.
+
+        Extends the buffer with whole blocks drawn from the same
+        generator, so the indicators later served by ``take``/``count``/
+        ``take1`` are exactly the ones this returned (speculative owners
+        batches peek a window and consume only its accepted prefix).
+        """
+        available = len(self._buffer) - self._pos
+        if available < rounds:
+            blocks = -(-(rounds - available) // _FLIP_BLOCK)
+            uniforms = self._stream.random_sample(blocks * _FLIP_BLOCK)
+            self._buffer = (
+                self._buffer[self._pos :]
+                + (uniforms < self._epsilon).astype(_np.uint8).tobytes()
+            )
+            self._pos = 0
+        return _np.frombuffer(
+            self._buffer, dtype=_np.uint8, count=rounds, offset=self._pos
+        )
 
 
 class BatchFlips:

@@ -5,7 +5,7 @@ cuts a batch into contiguous trial stripes (the balanced
 :func:`~repro.service.shards.plan_shards` rule) and dispatches each to a
 pool worker that runs it through an in-process
 :class:`~repro.vectorized.runner.VectorizedRunner` — so every core runs
-party-collapsed simulations, with its own warmed codebook/decoder memo.
+party-collapsed simulations, with its own cached codebooks and decoders.
 
 Determinism is inherited, not re-argued: a stripe worker derives every
 per-trial seed from the *global* trial index
@@ -51,7 +51,7 @@ from repro.vectorized.runner import VectorizedRunner
 
 __all__ = ["VectorizedProcessRunner"]
 
-#: Per-process cached runner, so the codebook/decoder memo warms once per
+#: Per-process cached runner, so each codebook/decoder is built once per
 #: worker (pool processes are reused across batches and grid points).
 _WORKER_RUNNER: VectorizedRunner | None = None
 
@@ -84,7 +84,7 @@ class VectorizedProcessRunner(TrialRunner):
         chunk_size: Trials per stripe; ``None`` cuts one balanced stripe
             per worker (``ceil(trials / workers)``) — stripes are large
             on purpose, so each worker's batched noise prefetch and
-            codebook memo amortize over many trials.
+            codebook construction amortize over many trials.
         prefetch: Forwarded to each worker's
             :class:`~repro.vectorized.runner.VectorizedRunner`.
         mp_context: Optional :mod:`multiprocessing` context; ``None``
@@ -120,7 +120,7 @@ class VectorizedProcessRunner(TrialRunner):
         self._pool_failed = False
         self.last_fallback_reason: str | None = None
         # In-process runner for the workers == 1 and recovery paths;
-        # keeps its codebook memo across batches like a pool worker.
+        # keeps its codebook cache across batches like a pool worker.
         self._local = VectorizedRunner(prefetch=prefetch)
 
     @property

@@ -9,7 +9,7 @@ simulations of :mod:`repro.vectorized.schemes`, with the whole batch's
 shared-noise draws prefetched as rows of one packed numpy bit-matrix
 (:class:`~repro.vectorized.noise.BatchFlips`) and ML decoding vectorized
 over the codebook (:class:`~repro.vectorized.decoder.VectorizedMLDecoder`,
-shared — memo included — across the batch).
+built once and shared across the batch).
 
 The determinism contract of :mod:`repro.parallel.runner` is preserved
 *bitwise*: inputs come from ``spawn(seed, f"inputs[{index}]")``, channels
@@ -106,8 +106,9 @@ class VectorizedRunner(TrialRunner):
         #: it ran vectorized), mirroring ``ProcessPoolRunner``.
         self.last_fallback_reason: str | None = None
         # (chunk_length, rate_constant, code_seed, up, down) ->
-        # (code, VectorizedMLDecoder); shared across batches so the
-        # decode memo warms once per parameter point, not once per trial.
+        # (code, VectorizedMLDecoder); shared across batches so each
+        # codebook is built and packed once per parameter point, not once
+        # per trial.
         self._codebooks: dict[tuple, tuple] = {}
 
     @property

@@ -17,6 +17,25 @@ channel statistics, per-party energy, outputs and report fields.  The
 cross-backend equivalence suite (``tests/unit/test_vectorized_equivalence``)
 enforces this against the scalar engine trial by trial.
 
+The finding-owners phase runs as *speculative batches*.  Decoding is
+what couples its words — each word's speaker and symbol follow from the
+symbols decoded before it — but the owners code exists so that the
+decoded symbol is, with high probability, the symbol sent.  So each
+batch plans the coming words assuming every one decodes correctly,
+builds their received words from flip indicators *peeked* from the
+stream (:meth:`~repro.vectorized.noise.FlipStream.peek`), decodes them
+with one
+:meth:`~repro.vectorized.decoder.VectorizedMLDecoder.decode_batch`, and
+accepts the words up to and including the first mis-decode.  Every accepted word was planned from the true state, so it
+is the word the scalar loop sends; only the accepted words' indicators
+are then *consumed*, so the stream's draw order — and everything after
+the phase — is unchanged.  The rejected tail is re-planned from the
+real decoded symbols.  Window rule: the first batch plans the whole
+phase; each later batch plans twice the previous batch's accepted run,
+so a rare mis-decode costs one short re-plan, while a channel where
+nearly every word mis-decodes decodes about two words per accepted one
+instead of re-planning the whole remainder each time.
+
 Determinism assumption: inner parties are deterministic functions of
 ``(inputs, received prefix)``.  The scalar schemes already rely on exactly
 this (``InnerReplay`` re-creates parties on every attempt; rewind replays
@@ -25,6 +44,7 @@ after pops), so the collapsed forms add no new assumption.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -44,6 +64,7 @@ from repro.simulation.base import SimulationReport, Simulator
 from repro.simulation.chunked import ChunkCommitSimulator
 from repro.simulation.owners import (
     NEXT,
+    SILENCE,
     build_owners_code,
     position_symbol,
     symbol_position,
@@ -108,9 +129,10 @@ class _SharedChannel:
 
     Reproduces, draw for draw, what the scalar channel would deliver for
     the three access shapes the collapsed schemes need: a constant-OR
-    window (phase-1/verification votes), a codeword window (owners
-    phase), and a single round (rewind).  Statistics accrue exactly as
-    ``transmit_shared``/``transmit_shared_run`` record them.
+    window (phase-1/verification votes), a run of codewords (owners
+    phase; peeked, then committed), and a single round (rewind).
+    Statistics accrue exactly as ``transmit_shared``/
+    ``transmit_shared_run`` record them.
     """
 
     __slots__ = ("kind", "flips", "stats")
@@ -148,40 +170,70 @@ class _SharedChannel:
             return rounds - flipped
         return or_value * rounds  # noiseless
 
-    def word(self, bits: "_np.ndarray", weight: int) -> "_np.ndarray":
-        """Transmit a codeword round-by-round; return the received word.
-
-        ``bits`` is the round-wise true OR (only the speaker beeps, so the
-        OR *is* its codeword); ``weight`` is its popcount.
-        """
-        length = len(bits)
-        stats = self.stats
-        stats.rounds += length
-        stats.beeps_sent += weight
-        stats.or_ones += weight
+    def _word_draws(self, rounds: int, sent_ones: int) -> int:
+        """Flip indicators ``rounds`` codeword rounds carrying
+        ``sent_ones`` beeps consume, per the kind's draw rule (every
+        round / silent rounds / beeping rounds)."""
         kind = self.kind
         if kind == "correlated":
-            flipped = self.flips.take(length)
-            down = int((flipped & bits).sum())
-            stats.flips_down += down
-            stats.flips_up += int(flipped.sum()) - down
-            return bits ^ flipped
+            return rounds
         if kind == "one_sided":
-            received = bits.copy()
-            silent = length - weight
-            if silent:
-                flipped = self.flips.take(silent)
-                received[bits == 0] = flipped
-                stats.flips_up += int(flipped.sum())
-            return received
+            return rounds - sent_ones
         if kind == "suppression":
-            received = bits.copy()
-            if weight:
-                flipped = self.flips.take(weight)
-                received[bits == 1] = 1 - flipped
-                stats.flips_down += int(flipped.sum())
-            return received
-        return bits  # noiseless
+            return sent_ones
+        return 0  # noiseless
+
+    def peek_words(
+        self, words: "_np.ndarray", weights: "_np.ndarray"
+    ) -> "_np.ndarray":
+        """The received words for a run of sent codewords, from flips
+        peeked but *not* consumed.
+
+        ``words`` is a (count, length) matrix whose rows are the
+        round-wise true OR (only the speaker beeps, so the OR *is* its
+        codeword) and ``weights`` their popcounts.  The conditional-draw
+        kinds lay their flips out with a row-major boolean mask — the
+        order in which per-word, round-by-round draws would occur.
+        """
+        kind = self.kind
+        if kind == "noiseless":
+            return words
+        draws = self._word_draws(words.size, int(weights.sum()))
+        flipped = self.flips.peek(draws)
+        if kind == "correlated":
+            return words ^ flipped.reshape(words.shape)
+        received = words.copy()
+        if kind == "one_sided":
+            received[words == 0] = flipped
+        else:  # suppression
+            received[words == 1] = 1 - flipped
+        return received
+
+    def commit_words(
+        self, words: "_np.ndarray", weights: "_np.ndarray"
+    ) -> None:
+        """Consume the flips of a run of codewords previously passed to
+        :meth:`peek_words` (a prefix of it), accruing statistics exactly
+        as round-by-round transmission records them."""
+        stats = self.stats
+        sent_ones = int(weights.sum())
+        stats.rounds += words.size
+        stats.beeps_sent += sent_ones
+        stats.or_ones += sent_ones
+        draws = self._word_draws(words.size, sent_ones)
+        if not draws:
+            return
+        flipped = self.flips.take(draws)
+        flips = int(_np.count_nonzero(flipped))
+        kind = self.kind
+        if kind == "correlated":
+            down = int(_np.count_nonzero(flipped & words.reshape(-1)))
+            stats.flips_down += down
+            stats.flips_up += flips - down
+        elif kind == "one_sided":
+            stats.flips_up += flips
+        else:  # suppression
+            stats.flips_down += flips
 
     def round(self, or_value: int, beeps: int) -> int:
         """Transmit a single round; return the shared received bit."""
@@ -367,79 +419,104 @@ def _chunk_phase12(
 
     Phase 1 repetition-hardens ``chunk_rounds`` virtual rounds into the
     chunk transcript ``pi`` (advancing the programs as it goes); phase 2
-    runs the finding-owners phase.  Returns ``(pi, beep_rows,
-    beep_matrix, owners, claimed_by)`` and accrues per-party ``energy``
-    in place — exactly the shared quantities both chunk schemes verify
-    against.
+    runs the finding-owners phase as speculative batches (see the module
+    docstring).  Returns ``(pi, beep_matrix, owners, claimed_by)`` and
+    accrues per-party ``energy`` in place — exactly the shared quantities
+    both chunk schemes verify against.
     """
     # Phase 1: repetition-harden each virtual round into pi.  The
     # window's received ones collapse to one popcount of the flip
     # stream; the majority rule matches repeated_bit exactly.
-    beep_rows: list[list[int]] = [[] for _ in range(n_parties)]
+    columns: list[bytes] = []
     pi: list[int] = []
     for _ in range(chunk_rounds):
-        beeps = 0
         bits = programs.bits
-        for index, bit in enumerate(bits):
-            if bit is None:
-                raise ProtocolError(
-                    "inner protocol shorter than its declared length"
-                )
-            beep_rows[index].append(bit)
-            beeps += bit
+        if None in bits:
+            raise ProtocolError(
+                "inner protocol shorter than its declared length"
+            )
+        columns.append(bytes(bits))
+        beeps = sum(bits)
         or_value = 1 if beeps else 0
         ones = shared.window(or_value, beeps, repetitions)
         decoded = 1 if 2 * ones > repetitions else 0
         pi.append(decoded)
         programs.advance(decoded)
-    beep_matrix = _np.array(beep_rows, dtype=_np.uint8)
+    beep_matrix = (
+        _np.frombuffer(b"".join(columns), dtype=_np.uint8)
+        .reshape(chunk_rounds, n_parties)
+        .T
+    )
     energy += beep_matrix.sum(axis=1, dtype=_np.int64) * repetitions
 
     # Phase 2: finding owners.  All shared bookkeeping (turn, claimed
     # set, owner table) is computed once instead of once per party;
-    # only the speaker's claimed-by-me record is party-local.
-    ones_positions = [j for j, bit in enumerate(pi) if bit == 1]
-    iterations = len(ones_positions) + n_parties
+    # only the speaker's claimed-by-me record is party-local.  Party s
+    # can claim exactly its hits: the positions j, ascending, with
+    # pi[j] = 1 and a 1 beeped by s.
+    pi_row = _np.array(pi, dtype=_np.uint8)
+    hit_rows, hit_columns = _np.nonzero((beep_matrix == 1) & (pi_row == 1))
+    hit_starts = _np.searchsorted(
+        hit_rows, _np.arange(n_parties + 1)
+    ).tolist()
+    hits = hit_columns.tolist()
+    iterations = pi.count(1) + n_parties
     claimed: set[int] = set()
     owners: dict[int, int] = {}
     claimed_by: list[set[int]] = [set() for _ in range(n_parties)]
     turn = 0
-    for _ in range(iterations):
-        if 0 <= turn < n_parties:
-            speaker = turn
-            row = beep_rows[speaker]
-            candidate = next(
-                (
-                    j
-                    for j in ones_positions
-                    if row[j] == 1 and j not in claimed
-                ),
-                None,
-            )
-            sent_symbol = (
-                NEXT if candidate is None else position_symbol(candidate)
-            )
-            word = codebook[sent_symbol]
-            weight = int(codeword_weights[sent_symbol])
+
+    def planned_words():
+        """(speaker, symbol) of the coming words, assuming each decodes
+        to the symbol sent — the scalar loop's candidate rule."""
+        taken = set(claimed)
+        for speaker in range(turn, n_parties):
+            start, end = hit_starts[speaker], hit_starts[speaker + 1]
+            for position in hits[start:end]:
+                if position not in taken:
+                    taken.add(position)
+                    yield speaker, position_symbol(position)
+            yield speaker, NEXT
+
+    done = 0
+    window = iterations
+    while done < iterations and turn < n_parties:
+        plan = list(
+            itertools.islice(planned_words(), min(window, iterations - done))
+        )
+        symbols = _np.array([symbol for _, symbol in plan], dtype=_np.intp)
+        words = codebook[symbols]
+        weights = codeword_weights[symbols]
+        decoded = decoder.decode_batch(shared.peek_words(words, weights))
+        wrong = _np.flatnonzero(decoded != symbols)
+        # Accept through the first mis-decode: every word before it was
+        # planned from the true state, so it is the word really sent.
+        accepted = int(wrong[0]) + 1 if len(wrong) else len(plan)
+        shared.commit_words(words[:accepted], weights[:accepted])
+        for (speaker, sent_symbol), weight, decoded_symbol in zip(
+            plan[:accepted],
+            weights[:accepted].tolist(),
+            decoded[:accepted].tolist(),
+        ):
+            # Planned from the true state, so turn == speaker here.
             energy[speaker] += weight
-        else:
-            speaker = None
-            sent_symbol = None
-            word = codebook[0]  # SILENCE: the all-zero codeword
-            weight = 0
-        received = shared.word(word, weight)
-        decoded_symbol = decoder.decode(received)
-        if decoded_symbol == NEXT:
-            turn += 1
-        else:
-            position = symbol_position(decoded_symbol)
-            if position is not None and position < len(pi):
-                claimed.add(position)
-                if 0 <= turn < n_parties:
+            if decoded_symbol == NEXT:
+                turn += 1
+            else:
+                position = symbol_position(decoded_symbol)
+                if position is not None and position < len(pi):
+                    claimed.add(position)
                     owners[position] = turn
-                if speaker is not None and decoded_symbol == sent_symbol:
-                    claimed_by[speaker].add(position)
-    return pi, beep_rows, beep_matrix, owners, claimed_by
+                    if decoded_symbol == sent_symbol:
+                        claimed_by[speaker].add(position)
+        done += accepted
+        window = 2 * accepted
+    if done < iterations:
+        # Past the last party nobody speaks: the rest are SILENCE words,
+        # and no decoded symbol can touch owners or claimed_by any more.
+        rest = _np.full(iterations - done, SILENCE)
+        shared.commit_words(codebook[rest], codeword_weights[rest])
+    return pi, beep_matrix, owners, claimed_by
 
 
 def _chunk_flags(
@@ -484,8 +561,8 @@ def simulate_chunked(
 
     ``flips`` optionally injects a pre-built noise stream (the runner's
     batched prefetch); ``codebook_cache`` shares the owners codebook and
-    vectorized decoder (including its memo) across the trials of a batch —
-    the scalar scheme rebuilds both per trial.
+    vectorized decoder (with its packed codebook) across the trials of a
+    batch — the scalar scheme rebuilds both per trial.
     """
     require_numpy()
     if not channel.correlated:
@@ -543,7 +620,7 @@ def simulate_chunked(
             # outer party, on *every* attempt).
             programs.rebuild(committed)
 
-        pi, beep_rows, beep_matrix, owners, claimed_by = _chunk_phase12(
+        pi, beep_matrix, owners, claimed_by = _chunk_phase12(
             programs,
             shared,
             energy,

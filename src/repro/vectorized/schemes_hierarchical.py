@@ -130,7 +130,7 @@ def simulate_hierarchical(
             programs.rebuild(
                 [bit for chunk in chunk_pis for bit in chunk]
             )
-        pi, _, beep_matrix, owners, claimed_by = _chunk_phase12(
+        pi, beep_matrix, owners, claimed_by = _chunk_phase12(
             programs,
             shared,
             energy,

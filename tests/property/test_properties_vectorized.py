@@ -10,11 +10,13 @@ checked here over randomized instances:
 2. **Noise streams** — a :class:`FlipStream` (and every row of a
    :class:`BatchFlips` prefetch) serves the same flip indicators, in the
    same draw order, as the scalar channel's ``random()`` comparisons —
-   including mid-stream handoff from a partially consumed generator.
+   including mid-stream handoff from a partially consumed generator —
+   and ``peek`` reads ahead without moving the stream.
 3. **Decoding** — :class:`VectorizedMLDecoder` agrees with the scalar
    memoized :class:`MLDecoder` symbol-for-symbol on random codebooks,
    noise models and received words, across the finite-weights fast path,
-   the ``-inf``-guarded path, and the min-distance fallback regime.
+   the ``-inf``-guarded path, and the min-distance fallback regime; its
+   bit-packed agreement counts are exact at every codeword length.
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ from repro.vectorized import (
     popcount_rows,
     unpack_rows,
 )
+from repro.vectorized.decoder import (
+    _ones_by_bitwise_count,
+    _ones_by_byte_table,
+    _pack64,
+)
+from repro.vectorized.noise import _FLIP_BLOCK
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -161,6 +169,55 @@ def test_flipstream_access_patterns_agree(seed, chunks):
         assert list(taken.take(rounds)) == singles
 
 
+#: Stream positions around the refill boundaries: the 4096-column
+#: BatchFlips preload and FlipStream's 8192-indicator block.
+BOUNDARIES = [0, 4096, _FLIP_BLOCK, 2 * _FLIP_BLOCK]
+
+
+@given(
+    seed=seeds,
+    preload=st.booleans(),
+    start=st.sampled_from(BOUNDARIES),
+    offset=st.integers(-40, 40),
+    windows=st.lists(
+        st.tuples(st.integers(0, 9000), st.integers(0, 9000)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_peek_is_the_following_take(seed, preload, start, offset, windows):
+    """``peek(k)`` consumes nothing and serves exactly the indicators
+    the following ``take`` does — repeated, and across the preload and
+    block refills — so consuming a prefix of a peek leaves the stream
+    where per-word draws would."""
+    epsilon = 0.3
+    if preload:
+        stream = BatchFlips([random.Random(seed)], epsilon).stream(0)
+    else:
+        stream = FlipStream(random.Random(seed), epsilon)
+    reference = FlipStream(random.Random(seed), epsilon)
+    skip = max(0, start + offset)
+    stream.take(skip)
+    reference.take(skip)
+    for peeked, taken in windows:
+        taken = min(taken, peeked)
+        before = stream.draws
+        first = stream.peek(peeked).copy()
+        again = stream.peek(peeked)
+        assert stream.draws == before
+        assert len(first) == peeked
+        assert (again == first).all()
+        assert (stream.peek(taken) == first[:taken]).all()
+        assert (stream.take(taken) == first[:taken]).all()
+        assert stream.draws == before + taken
+        assert (reference.take(taken) == first[:taken]).all()
+        # The unconsumed rest of the peek is still next in line.
+        assert (stream.peek(peeked - taken) == first[taken:]).all()
+    tail = [reference.take1() for _ in range(50)]
+    assert [stream.take1() for _ in range(50)] == tail
+
+
 # ----------------------------------------------------------------------
 # 3. Vectorized ML decode vs the scalar memoized decoder
 # ----------------------------------------------------------------------
@@ -175,14 +232,21 @@ def _random_word(rng, length):
     num_symbols=st.integers(2, 12),
     up=st.sampled_from([0.0, 0.05, 0.2, 0.45]),
     down=st.sampled_from([0.0, 0.05, 0.2, 0.45]),
+    length=st.sampled_from([24, 1, 7, 8, 63, 64, 65, 85, 130]),
 )
-@settings(max_examples=60, deadline=None)
-def test_vectorized_decode_matches_scalar(seed, num_symbols, up, down):
+@settings(max_examples=120, deadline=None)
+def test_vectorized_decode_matches_scalar(seed, num_symbols, up, down, length):
     """Symbol-for-symbol agreement on random received words, covering the
     finite path (up, down > 0), the guarded path (a zero probability
     makes some transitions forbidden) and the min-distance fallback
-    (words forbidden under every codeword)."""
-    code = GreedyRandomCode(num_symbols, 24, seed=seed)
+    (words forbidden under every codeword) — at codeword lengths that
+    are not a multiple of 8 or span several packed uint64 words.  Short
+    codes drop the distance floors (they cannot meet them), so
+    duplicate codewords also exercise the first-maximum tie-break."""
+    floors = {}
+    if length < 24:
+        floors = {"min_distance_fraction": 0.0, "min_weight_fraction": 0.0}
+    code = GreedyRandomCode(num_symbols, length, seed=seed, **floors)
     noise = NoiseModel(up=up, down=down)
     scalar = MLDecoder(code, noise)
     vectorized = VectorizedMLDecoder(code, noise)
@@ -199,9 +263,22 @@ def test_vectorized_decode_matches_scalar(seed, num_symbols, up, down):
         expected = scalar.decode(tuple(word))
         array = np.array(word, dtype=np.uint8)
         assert vectorized.decode(array) == expected
-        # Memoized second decode agrees too.
-        assert vectorized.decode(array) == expected
     matrix = np.array(words, dtype=np.uint8)
     assert list(vectorized.decode_batch(matrix)) == [
         scalar.decode(tuple(word)) for word in words
     ]
+
+
+@given(seed=seeds, rows=st.integers(1, 5), length=st.integers(1, 200))
+@settings(max_examples=60, deadline=None)
+def test_packed_popcounts_are_exact(seed, rows, length):
+    """The numpy >= 2 popcount and the numpy < 2 byte table count the
+    same agreements as a plain integer sum, padding included."""
+    rng = np.random.RandomState(seed)
+    left = (rng.random_sample((rows, length)) < 0.5).astype(np.uint8)
+    right = (rng.random_sample((rows, length)) < 0.5).astype(np.uint8)
+    both = _pack64(left) & _pack64(right)
+    expected = (left & right).sum(axis=1, dtype=np.int64)
+    assert (_ones_by_byte_table(both) == expected).all()
+    if hasattr(np, "bitwise_count"):
+        assert (_ones_by_bitwise_count(both) == expected).all()

@@ -50,8 +50,10 @@ from repro.simulation import (
     RepetitionSimulator,
     RewindSimulator,
 )
-from repro.tasks import ParityTask
-from repro.vectorized import VectorizedRunner
+from repro.tasks import InputSetTask, ParityTask
+from repro.vectorized import VectorizedMLDecoder, VectorizedRunner
+from repro.vectorized import schemes as vschemes
+from repro.vectorized import schemes_hierarchical as vhierarchical
 
 # The ten channel families of test_legacy_equivalence, as picklable specs.
 CHANNEL_SPECS = {
@@ -182,3 +184,93 @@ class TestCrossBackendEquivalence:
                 serial = _run(SerialRunner(), task, executor, 11)
                 vectorized = _run(VectorizedRunner(), task, executor, 11)
                 assert vectorized == serial, (epsilon, simulator_name)
+
+
+# Speculative owners batches: channels where words mis-decode often
+# (correlated 0.45 nearly always), the two conditional-draw kinds whose
+# flips land only on some rounds of a word, and the noiseless channel
+# where the first batch must cover the whole phase.
+SPECULATION_CHANNELS = {
+    "correlated-0.3": ChannelSpec.of(CorrelatedNoiseChannel, 0.3),
+    "correlated-0.45": ChannelSpec.of(CorrelatedNoiseChannel, 0.45),
+    "one-sided-0.4": ChannelSpec.of(OneSidedNoiseChannel, 0.4),
+    "suppression-0.4": ChannelSpec.of(SuppressionNoiseChannel, 0.4),
+    "noiseless": CHANNEL_SPECS["noiseless"],
+}
+
+SPECULATION_TASKS = {"input-set": InputSetTask, "parity": ParityTask}
+
+
+class _PhaseCounter:
+    """Counts owners phases, batch decodes and single-word decodes of
+    the collapsed chunk schemes (both import ``_chunk_phase12``)."""
+
+    def __init__(self, monkeypatch):
+        self.phases = self.batches = self.singles = 0
+        phase12 = vschemes._chunk_phase12
+        decode_batch = VectorizedMLDecoder.decode_batch
+        decode = VectorizedMLDecoder.decode
+
+        def counted_phase12(*args, **kwargs):
+            self.phases += 1
+            return phase12(*args, **kwargs)
+
+        def counted_batch(decoder, received):
+            self.batches += 1
+            return decode_batch(decoder, received)
+
+        def counted_decode(decoder, received):
+            self.singles += 1
+            return decode(decoder, received)
+
+        for module in (vschemes, vhierarchical):
+            monkeypatch.setattr(module, "_chunk_phase12", counted_phase12)
+        monkeypatch.setattr(VectorizedMLDecoder, "decode_batch", counted_batch)
+        monkeypatch.setattr(VectorizedMLDecoder, "decode", counted_decode)
+
+
+class TestSpeculativeOwners:
+    @pytest.mark.parametrize("channel_name", sorted(SPECULATION_CHANNELS))
+    @pytest.mark.parametrize("simulator_name", ["chunk", "hierarchical"])
+    @pytest.mark.parametrize("task_name", sorted(SPECULATION_TASKS))
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_records_bitwise_equal(
+        self, channel_name, simulator_name, task_name, n, monkeypatch
+    ):
+        task = SPECULATION_TASKS[task_name](n)
+        executor = SimulationExecutor(
+            task=task,
+            channel=SPECULATION_CHANNELS[channel_name],
+            simulator=SIMULATORS[simulator_name],
+        )
+        seed = 31 * n + 5
+        serial = SerialRunner().run_trials(task, executor, TRIALS, seed=seed)
+        counter = _PhaseCounter(monkeypatch)
+        runner = VectorizedRunner()
+        vectorized = runner.run_trials(task, executor, TRIALS, seed=seed)
+        assert vectorized.records == serial.records
+        assert runner.last_fallback_reason is None
+        assert counter.phases > 0
+        assert counter.singles == 0
+        if channel_name == "correlated-0.45":
+            # Some word mis-decoded and its batch's tail was re-planned,
+            # so the reject path is not vacuous here.
+            assert counter.batches > counter.phases
+
+    def test_noiseless_phase_is_one_batch(self, monkeypatch):
+        """Work-count guard: without noise every planned word decodes as
+        sent, so each owners phase is exactly one ``decode_batch`` and no
+        word is decoded on its own."""
+        task = InputSetTask(16)
+        executor = SimulationExecutor(
+            task=task,
+            channel=CHANNEL_SPECS["noiseless"],
+            simulator=SIMULATORS["chunk"],
+        )
+        counter = _PhaseCounter(monkeypatch)
+        runner = VectorizedRunner()
+        runner.run_trials(task, executor, TRIALS, seed=3)
+        assert runner.last_fallback_reason is None
+        assert counter.phases > 0
+        assert counter.batches == counter.phases
+        assert counter.singles == 0
