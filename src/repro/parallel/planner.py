@@ -38,7 +38,6 @@ from repro.parallel.runner import (
     TrialBatch,
     TrialRunner,
 )
-from repro.rng import derive_seed
 from repro.tasks.base import Task
 
 __all__ = ["AutoRunner", "load_crossover", "DEFAULT_CROSSOVER_PATH"]
@@ -132,44 +131,23 @@ class AutoRunner(TrialRunner):
         self, executor: Executor, seed: int
     ) -> tuple[str | None, str | None]:
         """``(scheme_name, None)`` when the batch can collapse, else
-        ``(scheme_name_or_None, reason)`` mirroring the vectorized
-        runner's classification (without requiring numpy).
+        ``(scheme_name_or_None, reason)``: the vectorized runner's own
+        :func:`~repro.vectorized.runner.classify`, gated on numpy.
 
         Network batches report the route's crossover key — the task type
         name for raw protocol routes (``"MISTask"``), the simulator name
         for the local-broadcast route — so graph schemes get their own
         measured ``vectorized_min_n`` rows.
         """
-        from repro.parallel.executors import SimulationExecutor
-
-        simulator = None
-        scheme = None
-        if isinstance(executor, SimulationExecutor):
-            simulator = executor.simulator.make()
-            scheme = type(simulator).__name__
         try:
             from repro.vectorized.noise import HAVE_NUMPY
-            from repro.vectorized.runner import _COLLAPSED_SCHEMES
-            from repro.vectorized.schemes import CHANNEL_KINDS
+            from repro.vectorized.runner import classify
         except ImportError:  # pragma: no cover - broken install
-            return scheme, "vectorized package unavailable"
+            return None, "vectorized package unavailable"
+        _, scheme, reason = classify(executor, seed)
         if not HAVE_NUMPY:
             return scheme, "numpy unavailable"
-        if simulator is None:
-            reason = "executor is not a SimulationExecutor"
-        elif type(simulator) not in _COLLAPSED_SCHEMES:
-            reason = f"no collapsed form for {scheme}"
-        else:
-            probe = executor.channel.make(derive_seed(seed, "trial[0]"))
-            if type(probe) in CHANNEL_KINDS:
-                return scheme, None
-            reason = f"no collapsed replay for {type(probe).__name__}"
-        from repro.vectorized.network import classify_network
-
-        route, net_reason = classify_network(executor, seed)
-        if route is not None:
-            return route.scheme, None
-        return scheme, f"{reason}; {net_reason}"
+        return scheme, reason
 
     def _plan(
         self, task: Task, executor: Executor, trials: int, seed: int

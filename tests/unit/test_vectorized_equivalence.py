@@ -7,8 +7,8 @@ channel-family grid (the ten families of ``test_legacy_equivalence``) and
 all four registry simulators (repetition, chunk-commit, hierarchical,
 rewind), mirroring that suite's structure:
 
-* where the vectorized backend has a collapsed form (chunk-commit and
-  rewind over the correlated shared-bit channels), the records must match
+* where the vectorized backend has a collapsed form (all four schemes
+  over the shared-bit channels, burst noise included), the records must match
   bitwise *and* the batch must actually have run collapsed (no silent
   fallback making the test vacuous);
 * everywhere else the backend must take its scalar fallback and still
@@ -80,13 +80,15 @@ SIMULATORS = {
 
 #: (simulator, channel) pairs the backend collapses — everything else
 #: must take the scalar fallback.  All four registry simulators collapse
-#: over the four shared-bit families (for hierarchical, "collapsed"
+#: over the five shared-bit families (for hierarchical, "collapsed"
 #: includes raising the same requires-a-correlated-channel error the
 #: scalar scheme raises on families it rejects).
 COLLAPSED = {
     (simulator, channel)
     for simulator in ("chunk", "rewind", "repetition", "hierarchical")
-    for channel in ("noiseless", "correlated", "one-sided", "suppression")
+    for channel in (
+        "noiseless", "correlated", "one-sided", "suppression", "burst"
+    )
 }
 
 TRIALS = 4
@@ -123,14 +125,17 @@ class TestCrossBackendEquivalence:
         else:
             assert vectorized_runner.last_fallback_reason is not None
 
+    @pytest.mark.parametrize("channel_name", ["correlated", "burst"])
     @pytest.mark.parametrize("simulator_name", ["chunk", "rewind"])
-    def test_sampled_trials_replay_on_scalar_engine(self, simulator_name):
+    def test_sampled_trials_replay_on_scalar_engine(
+        self, simulator_name, channel_name
+    ):
         """Any trial a vectorized sweep records can be reproduced by the
         scalar ``run_trial`` from its ``(seed, index)`` alone."""
         task = ParityTask(3)
         executor = SimulationExecutor(
             task=task,
-            channel=CHANNEL_SPECS["correlated"],
+            channel=CHANNEL_SPECS[channel_name],
             simulator=SIMULATORS[simulator_name],
         )
         runner = VectorizedRunner()
