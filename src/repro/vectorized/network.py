@@ -75,7 +75,12 @@ from repro.network.topology import Topology
 from repro.parallel.executors import ProtocolExecutor, SimulationExecutor
 from repro.parallel.runner import TrialRecord
 from repro.rng import derive_seed, spawn
-from repro.vectorized.noise import FlipStream, require_numpy
+from repro.vectorized.noise import (
+    FlipStream,
+    ThresholdRule,
+    numpy_stream,
+    require_numpy,
+)
 
 try:  # numpy is optional for the package, required to *run* this module.
     import numpy as _np
@@ -614,7 +619,8 @@ def network_records(
         ]
         threshold = epsilon if epsilon > 0.0 else edge_epsilon
         streams = [
-            FlipStream(channel._rng, threshold) for channel in channels
+            FlipStream(ThresholdRule(numpy_stream(channel._rng), threshold))
+            for channel in channels
         ]
     vchan = _BatchNetworkChannel(
         probe.topology,

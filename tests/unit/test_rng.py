@@ -116,17 +116,26 @@ class TestVectorizedStreamGolden:
             scalar = random.Random(trial_seed)
             assert [scalar.random() for _ in range(3)] == doubles
 
+    @staticmethod
+    def _threshold(rng, epsilon):
+        """The threshold draw rule: ``rng.random() < epsilon``."""
+        from repro.vectorized import ThresholdRule, numpy_stream
+
+        return ThresholdRule(numpy_stream(rng), epsilon)
+
     def test_batch_flip_matrix_frozen(self):
         import pytest
 
         pytest.importorskip("numpy")
         from repro.vectorized import BatchFlips
 
-        rngs = [
-            random.Random(derive_seed(0, f"trial[{index}]"))
+        rules = [
+            self._threshold(
+                random.Random(derive_seed(0, f"trial[{index}]")), 0.5
+            )
             for index in range(3)
         ]
-        batch = BatchFlips(rngs, 0.5, columns=16)
+        batch = BatchFlips(rules, columns=16)
         assert batch.packed.tolist() == self.GOLDEN_PACKED
 
     #: Batched *network* noise streams, master seed 0, 3x3 grid graph.
@@ -176,7 +185,8 @@ class TestVectorizedStreamGolden:
         # each trial's generator from the exact state the scalar engine
         # would first sample it in.
         batch = BatchFlips(
-            [channel._rng for channel in channels], 0.25, columns=16
+            [self._threshold(channel._rng, 0.25) for channel in channels],
+            columns=16,
         )
         assert batch.packed.tolist() == self.GOLDEN_NETWORK_NODE_PACKED
         for row, expected in enumerate(self.GOLDEN_NETWORK_NODE_FLIPS):
@@ -185,9 +195,8 @@ class TestVectorizedStreamGolden:
             self._network_channels(epsilon=0.25),
             self.GOLDEN_NETWORK_NODE_FLIPS,
         ):
-            assert FlipStream(channel._rng, 0.25).take(9).tolist() == (
-                expected
-            )
+            stream = FlipStream(self._threshold(channel._rng, 0.25))
+            assert stream.take(9).tolist() == expected
         # The scalar channel's draw discipline — ``random() < epsilon``
         # per node per round — yields the same indicators.
         scalar = self._network_channels(epsilon=0.25)[0]
@@ -203,7 +212,8 @@ class TestVectorizedStreamGolden:
 
         channels = self._network_channels(edge_epsilon=0.1)
         batch = BatchFlips(
-            [channel._rng for channel in channels], 0.1, columns=16
+            [self._threshold(channel._rng, 0.1) for channel in channels],
+            columns=16,
         )
         assert batch.packed.tolist() == self.GOLDEN_NETWORK_EDGE_PACKED
         for row, expected in enumerate(self.GOLDEN_NETWORK_EDGE_FLIPS):
@@ -212,9 +222,8 @@ class TestVectorizedStreamGolden:
             self._network_channels(edge_epsilon=0.1),
             self.GOLDEN_NETWORK_EDGE_FLIPS,
         ):
-            assert FlipStream(channel._rng, 0.1).take(12).tolist() == (
-                expected
-            )
+            stream = FlipStream(self._threshold(channel._rng, 0.1))
+            assert stream.take(12).tolist() == expected
 
 
 
