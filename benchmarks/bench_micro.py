@@ -829,7 +829,7 @@ def run_vectorized_benchmark(
     ``--compare`` regression floor.
     """
     from repro.parallel.planner import AutoRunner
-    from repro.vectorized import VectorizedProcessRunner, require_numpy
+    from repro.vectorized import VectorizedRunner, require_numpy
 
     require_numpy()
     parties = SIM_BENCH_PARTIES[:2] if quick else SIM_BENCH_PARTIES
@@ -852,7 +852,9 @@ def run_vectorized_benchmark(
         "results": [],
     }
     auto_runner = AutoRunner(workers=1)
-    composed_runner = VectorizedProcessRunner(workers=_COMPOSED_WORKERS)
+    composed_runner = ProcessPoolRunner(
+        workers=_COMPOSED_WORKERS, worker_runner=VectorizedRunner
+    )
     try:
         for scheme in sorted(_SIM_SCHEMES):
             for n in parties:
@@ -929,7 +931,7 @@ def check_vectorized_floors(payload: dict, attempts: int = 3) -> list[str]:
     re-measured and keeps its best-of across ``attempts``.
     """
     from repro.parallel.planner import AutoRunner
-    from repro.vectorized import VectorizedProcessRunner
+    from repro.vectorized import VectorizedRunner
 
     repeats = payload["repeats"]
     cpu_gated = payload.get("cpu_count", 1) >= payload.get(
@@ -1005,8 +1007,8 @@ def check_vectorized_floors(payload: dict, attempts: int = 3) -> list[str]:
                     2,
                 )
             else:
-                with VectorizedProcessRunner(
-                    workers=_COMPOSED_WORKERS
+                with ProcessPoolRunner(
+                    workers=_COMPOSED_WORKERS, worker_runner=VectorizedRunner
                 ) as runner:
                     rate = _time_runner(runner, scheme, n, trials, repeats)
                 entry["composed_trials_per_sec"] = max(

@@ -57,11 +57,10 @@ event                     fields
                           ``position`` (the transcript index discarded)
 ``trial``                 one per sweep trial (from the runner): ``index``,
                           ``success``, ``rounds``, ``flips``,
-                          ``total_energy``; serial backends add
+                          ``total_energy``; in-process batches add
                           ``elapsed_s``
-``worker_chunk``          pool backends only, one per dispatched chunk
-                          (vectorized-process: per stripe): ``chunk``,
-                          ``trials``, ``busy_s``
+``worker_chunk``          ``ProcessPoolRunner`` only, one per dispatched
+                          stripe: ``chunk``, ``trials``, ``busy_s``
 ``backend_selected``      ``backend=auto`` planner, one per batch:
                           ``backend``, ``reason``, ``scheme``, ``n``,
                           ``trials``, ``workers``, plus the delegated

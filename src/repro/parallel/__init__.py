@@ -4,11 +4,11 @@ This package makes every sweep in :mod:`repro.analysis.sweep` pluggable
 over a :class:`TrialRunner` backend:
 
 * :class:`SerialRunner` — the historical in-process loop;
-* :class:`ProcessPoolRunner` — chunked dispatch over a reusable process
-  pool, with graceful serial fallback;
-* ``VectorizedRunner`` / ``VectorizedProcessRunner``
-  (:mod:`repro.vectorized`) — party-collapsed numpy batches, single-core
-  or striped across a pool of vectorized workers;
+* ``VectorizedRunner`` (:mod:`repro.vectorized`) — party-collapsed numpy
+  batches in-process;
+* :class:`ProcessPoolRunner` — contiguous trial stripes over a reusable
+  process pool, each worker running one of the two in-process runners
+  above (``worker_runner``), with graceful in-process fallback;
 * :class:`~repro.parallel.planner.AutoRunner` (``backend="auto"``) — a
   per-batch planner routing between all of the above on a measured
   crossover table (``repro bench calibrate``).
@@ -36,6 +36,7 @@ from repro.parallel.executors import (
     SimulatorSpec,
 )
 from repro.parallel.runner import (
+    InProcessRunner,
     ProcessPoolRunner,
     SerialRunner,
     TrialBatch,
@@ -46,6 +47,7 @@ from repro.parallel.runner import (
 
 __all__ = [
     "TrialRunner",
+    "InProcessRunner",
     "SerialRunner",
     "ProcessPoolRunner",
     "TrialRecord",
@@ -114,10 +116,12 @@ def make_runner(
 
         return VectorizedRunner()
     if backend == "vectorized-process":
-        from repro.vectorized import VectorizedProcessRunner
+        from repro.vectorized import VectorizedRunner
 
-        return VectorizedProcessRunner(
-            workers=workers, chunk_size=chunk_size
+        return ProcessPoolRunner(
+            workers=workers,
+            chunk_size=chunk_size,
+            worker_runner=VectorizedRunner,
         )
     from repro.errors import ConfigurationError
 

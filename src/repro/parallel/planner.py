@@ -31,13 +31,7 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe import Observer
 
-from repro.parallel.runner import (
-    Executor,
-    ProcessPoolRunner,
-    SerialRunner,
-    TrialBatch,
-    TrialRunner,
-)
+from repro.parallel.runner import Executor, TrialBatch, TrialRunner
 from repro.tasks.base import Task
 
 __all__ = ["AutoRunner", "load_crossover", "DEFAULT_CROSSOVER_PATH"]
@@ -113,7 +107,6 @@ class AutoRunner(TrialRunner):
         self._chunk_size = chunk_size
         self._crossover = crossover
         self._runners: dict[str, TrialRunner] = {}
-        self.last_fallback_reason: str | None = None
         #: The most recent plan: ``{"backend", "reason", "scheme", "n",
         #: "trials", "workers"}`` (``None`` before the first batch).
         self.last_decision: dict[str, Any] | None = None
@@ -214,25 +207,12 @@ class AutoRunner(TrialRunner):
 
     def _runner_for(self, backend: str) -> TrialRunner:
         runner = self._runners.get(backend)
-        if runner is not None:
-            return runner
-        if backend == "serial":
-            runner = SerialRunner()
-        elif backend == "process":
-            runner = ProcessPoolRunner(
-                workers=self._workers, chunk_size=self._chunk_size
-            )
-        elif backend == "vectorized":
-            from repro.vectorized import VectorizedRunner
+        if runner is None:
+            # Imported lazily: the registry module imports this one lazily.
+            from repro.parallel import make_runner
 
-            runner = VectorizedRunner()
-        else:  # "vectorized-process"
-            from repro.vectorized import VectorizedProcessRunner
-
-            runner = VectorizedProcessRunner(
-                workers=self._workers, chunk_size=self._chunk_size
-            )
-        self._runners[backend] = runner
+            runner = make_runner(self._workers, self._chunk_size, backend)
+            self._runners[backend] = runner
         return runner
 
     def run_trials(
@@ -259,9 +239,7 @@ class AutoRunner(TrialRunner):
         batch = runner.run_trials(
             task, executor, trials, seed=seed, observe=observe
         )
-        self.last_fallback_reason = getattr(
-            runner, "last_fallback_reason", None
-        )
+        self.last_fallback_reason = runner.last_fallback_reason
         self.last_decision["fallback_reason"] = self.last_fallback_reason
         if observe is not None and observe.enabled:
             # Emitted after the batch so the event can also report the

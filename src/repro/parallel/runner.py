@@ -3,8 +3,10 @@
 Every sweep in this package reduces to the same embarrassingly parallel
 unit: *run one independently seeded trial and record what happened*.
 :func:`run_trial` is that unit, and a :class:`TrialRunner` decides how a
-batch of them executes — in-process (:class:`SerialRunner`) or across a
-reusable process pool (:class:`ProcessPoolRunner`).
+batch of them executes — in-process (an :class:`InProcessRunner`:
+:class:`SerialRunner` here, ``VectorizedRunner`` in
+:mod:`repro.vectorized`) or striped across a reusable process pool whose
+workers each run one of those (:class:`ProcessPoolRunner`).
 
 **Determinism contract.**  A trial's behaviour depends only on
 ``(master seed, trial index)``: inputs come from
@@ -18,8 +20,9 @@ live in :class:`TrialBatch.timing` only, never in the records.
 
 The process-pool backend degrades gracefully: with ``workers=1``, with an
 unpicklable task/executor (e.g. a closure), or when the pool cannot start
-(restricted environments), it runs the batch serially — same records,
-``timing["fallback"]`` flags the downgrade.
+(restricted environments) or a worker dies, it runs the batch in-process
+on its worker runner type — same records, ``timing["fallback"]`` flags
+the downgrade.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "TrialBatch",
     "run_trial",
     "TrialRunner",
+    "InProcessRunner",
     "SerialRunner",
     "ProcessPoolRunner",
 ]
@@ -165,43 +169,26 @@ def _validate_trials(trials: int) -> None:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
 
 
-def _run_chunk(
-    task: Task, executor: Executor, seed: int, indices: list[int]
-) -> tuple[list[TrialRecord], float]:
-    """Worker entry point: run a contiguous block of trials.
-
-    Returns the records plus the worker's busy time for the utilization
-    metric.  Module-level so the pool can pickle it by reference.
-    """
-    start = time.perf_counter()
-    records = [run_trial(task, executor, seed, index) for index in indices]
-    return records, time.perf_counter() - start
-
-
-def _serial_records(
+def _scalar_records(
     task: Task,
     executor: Executor,
-    trials: int,
     seed: int,
+    indices: Sequence[int],
     collect_times: bool = False,
-) -> tuple[list[TrialRecord], float, list[float] | None]:
-    start = time.perf_counter()
-    if collect_times:
-        times: list[float] | None = []
-        records = []
-        last = start
-        for index in range(trials):
-            records.append(run_trial(task, executor, seed, index))
-            now = time.perf_counter()
-            times.append(now - last)
-            last = now
-    else:
-        times = None
-        records = [
-            run_trial(task, executor, seed, index)
-            for index in range(trials)
-        ]
-    return records, time.perf_counter() - start, times
+) -> tuple[list[TrialRecord], list[float] | None]:
+    """:func:`run_trial` over the given global indices, plus each
+    trial's seconds when ``collect_times``."""
+    if not collect_times:
+        records = [run_trial(task, executor, seed, index) for index in indices]
+        return records, None
+    records, times = [], []
+    last = time.perf_counter()
+    for index in indices:
+        records.append(run_trial(task, executor, seed, index))
+        now = time.perf_counter()
+        times.append(now - last)
+        last = now
+    return records, times
 
 
 def _emit_batch_events(
@@ -271,6 +258,10 @@ def _timing(
 class TrialRunner(ABC):
     """Strategy interface: how a batch of independent trials executes."""
 
+    #: Why the last batch did not run as configured (a pool downgrade or
+    #: a batch that could not collapse); ``None`` when it did.
+    last_fallback_reason: str | None = None
+
     @property
     @abstractmethod
     def workers(self) -> int:
@@ -306,12 +297,41 @@ class TrialRunner(ABC):
         return False
 
 
-class SerialRunner(TrialRunner):
-    """The historical in-process loop — the reference backend."""
+class InProcessRunner(TrialRunner):
+    """A runner that executes trials in the calling process.
+
+    Subclasses only say how to run a list of *global* trial indices
+    (:meth:`run_indices`); the batch around it — timing, the fallback
+    flag and trace events — is built here, once, for the in-process
+    backends, for every :class:`ProcessPoolRunner` downgrade and (through
+    :func:`_run_chunk`) for each pool worker's stripe.
+    """
+
+    #: Contiguous stripes each pool worker receives per batch when this
+    #: type runs inside a :class:`ProcessPoolRunner`.
+    STRIPES_PER_WORKER: int
 
     @property
     def workers(self) -> int:
         return 1
+
+    @abstractmethod
+    def run_indices(
+        self,
+        task: Task,
+        executor: Executor,
+        seed: int,
+        indices: Sequence[int],
+        collect_times: bool = False,
+    ) -> tuple[list[TrialRecord], list[float] | None]:
+        """Records for the given global trial indices, in that order,
+        plus each trial's seconds when ``collect_times``.
+
+        Per-trial seeds derive from the global index, so any stripe of a
+        batch gives exactly the records a whole-batch run gives for those
+        indices.  Sets ``last_fallback_reason`` when the runner could not
+        run the indices its own way.
+        """
 
     def run_trials(
         self,
@@ -322,11 +342,27 @@ class SerialRunner(TrialRunner):
         seed: int = 0,
         observe: "Observer | None" = None,
     ) -> TrialBatch:
+        return self._batch(task, executor, trials, seed, observe)
+
+    def _batch(
+        self,
+        task: Task,
+        executor: Executor,
+        trials: int,
+        seed: int,
+        observe: "Observer | None",
+        downgrade: str | None = None,
+    ) -> TrialBatch:
+        """The in-process batch.  ``downgrade`` names why a pool runner
+        ran it here instead; it sets ``timing["fallback"]``, as does a
+        fallback inside :meth:`run_indices`."""
         _validate_trials(trials)
         tracing = observe is not None and observe.enabled
-        records, elapsed, times = _serial_records(
-            task, executor, trials, seed, collect_times=tracing
+        start = time.perf_counter()
+        records, times = self.run_indices(
+            task, executor, seed, range(trials), collect_times=tracing
         )
+        elapsed = time.perf_counter() - start
         batch = TrialBatch(
             records=records,
             timing=_timing(
@@ -336,7 +372,10 @@ class SerialRunner(TrialRunner):
                 chunks=1,
                 busy=elapsed,
                 parallel=False,
-                fallback=False,
+                fallback=(
+                    downgrade is not None
+                    or self.last_fallback_reason is not None
+                ),
             ),
         )
         if tracing:
@@ -344,33 +383,85 @@ class SerialRunner(TrialRunner):
         return batch
 
 
-class ProcessPoolRunner(TrialRunner):
-    """Chunked dispatch over a reusable :class:`ProcessPoolExecutor`.
+class SerialRunner(InProcessRunner):
+    """The historical in-process loop — the reference backend."""
 
-    The pool is created lazily on first use and reused across
-    ``run_trials`` calls (and hence across sweep grid points), so worker
-    startup is amortised over a whole curve.  Close it explicitly (or use
-    the runner as a context manager) when done.
+    #: About four chunks per pool worker: load balancing across workers
+    #: without pickling one work item per trial.
+    STRIPES_PER_WORKER = 4
+
+    def run_indices(
+        self,
+        task: Task,
+        executor: Executor,
+        seed: int,
+        indices: Sequence[int],
+        collect_times: bool = False,
+    ) -> tuple[list[TrialRecord], list[float] | None]:
+        return _scalar_records(task, executor, seed, indices, collect_times)
+
+
+#: This process's in-process runners, one per type.  Pool workers are
+#: reused across batches and grid points, so each worker builds a
+#: runner's caches (codebooks, decoders) once.
+_WORKER_RUNNERS: dict[type, InProcessRunner] = {}
+
+
+def _run_chunk(
+    task: Task,
+    executor: Executor,
+    seed: int,
+    indices: list[int],
+    runner_type: type[InProcessRunner],
+) -> tuple[list[TrialRecord], float, str | None]:
+    """Worker entry point: run a contiguous stripe of global trials.
+
+    Returns the records, the worker's busy time for the utilization
+    metric, and the worker runner's ``last_fallback_reason``.
+    Module-level so the pool can pickle it by reference.
+    """
+    start = time.perf_counter()
+    runner = _WORKER_RUNNERS.get(runner_type)
+    if runner is None:
+        runner = _WORKER_RUNNERS[runner_type] = runner_type()
+    records, _ = runner.run_indices(task, executor, seed, indices)
+    return records, time.perf_counter() - start, runner.last_fallback_reason
+
+
+class ProcessPoolRunner(TrialRunner):
+    """Contiguous trial stripes over a reusable :class:`ProcessPoolExecutor`.
+
+    Each pool worker runs its stripes through a cached in-process runner
+    of type ``worker_runner``: :class:`SerialRunner` (the ``process``
+    backend) or :class:`~repro.vectorized.runner.VectorizedRunner` (the
+    ``vectorized-process`` backend).  The pool is created lazily on first
+    use and reused across ``run_trials`` calls (and hence across sweep
+    grid points), so worker startup is amortised over a whole curve.
+    Close it explicitly (or use the runner as a context manager) when
+    done.
 
     Args:
         workers: Pool size; ``None`` means ``os.cpu_count()``.
-        chunk_size: Trials per dispatched work item; ``None`` picks
-            ``ceil(trials / (4 * workers))`` so each worker sees ~4 chunks
-            (decent load balancing without per-trial pickling overhead).
-        mp_context: Optional :mod:`multiprocessing` context (e.g. to force
-            ``"spawn"``); ``None`` uses the platform default.
+        chunk_size: Trials per dispatched stripe; ``None`` cuts
+            ``worker_runner.STRIPES_PER_WORKER`` balanced stripes per
+            worker.
+        worker_runner: The :class:`InProcessRunner` type the workers run;
+            constructed here too, so a vectorized pool raises
+            :class:`~repro.errors.ConfigurationError` without numpy.
 
-    Falls back to the serial path — with identical results — when
-    ``workers == 1``, when the task/executor cannot be pickled, or when
-    the pool cannot start or breaks mid-batch.  ``last_fallback_reason``
-    records why.
+    Runs the batch in-process on a ``worker_runner`` — with identical
+    results — when ``workers == 1``, when the task/executor cannot be
+    pickled, or when the pool cannot start or breaks mid-batch;
+    ``last_fallback_reason`` records why, or the workers' own fallback
+    reason when the pool ran.  An exception raised by a trial is raised
+    unchanged, as the in-process runner raises it; the pool stays up.
     """
 
     def __init__(
         self,
         workers: int | None = None,
         chunk_size: int | None = None,
-        mp_context: Any = None,
+        worker_runner: type[InProcessRunner] = SerialRunner,
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
@@ -384,10 +475,12 @@ class ProcessPoolRunner(TrialRunner):
             )
         self._workers = workers
         self.chunk_size = chunk_size
-        self._mp_context = mp_context
+        self.worker_runner = worker_runner
+        # Runs the workers == 1 path and every downgrade; keeps its
+        # caches across batches like a pool worker's runner.
+        self._local = worker_runner()
         self._pool = None
         self._pool_failed = False
-        self.last_fallback_reason: str | None = None
 
     @property
     def workers(self) -> int:
@@ -396,62 +489,58 @@ class ProcessPoolRunner(TrialRunner):
     def _ensure_pool(self):
         if self._pool is None and not self._pool_failed:
             try:
-                import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
 
-                context = (
-                    self._mp_context
-                    if self._mp_context is not None
-                    else multiprocessing.get_context()
-                )
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self._workers, mp_context=context
-                )
+                self._pool = ProcessPoolExecutor(max_workers=self._workers)
             except (ImportError, OSError, ValueError):
                 # No multiprocessing support here (restricted sandbox,
-                # missing /dev/shm, ...): permanently degrade to serial.
+                # missing /dev/shm, ...): permanently degrade.
                 self._pool_failed = True
         return self._pool
 
     def _chunk_indices(self, trials: int) -> list[list[int]]:
         size = self.chunk_size
         if size is None:
-            size = max(1, math.ceil(trials / (4 * self._workers)))
+            stripes = self.worker_runner.STRIPES_PER_WORKER * self._workers
+            size = max(1, math.ceil(trials / stripes))
         return [
             list(range(low, min(low + size, trials)))
             for low in range(0, trials, size)
         ]
 
-    def _serial_fallback(
+    def _in_process(
         self,
         task: Task,
         executor: Executor,
         trials: int,
         seed: int,
+        observe: "Observer | None",
         reason: str | None,
-        observe: "Observer | None" = None,
     ) -> TrialBatch:
-        self.last_fallback_reason = reason
-        tracing = observe is not None and observe.enabled
-        records, elapsed, times = _serial_records(
-            task, executor, trials, seed, collect_times=tracing
+        # ``reason is None`` is the designed workers == 1 path, not a
+        # downgrade; the local runner's own fallback still surfaces.
+        batch = self._local._batch(
+            task, executor, trials, seed, observe, downgrade=reason
         )
-        batch = TrialBatch(
-            records=records,
-            timing=_timing(
-                elapsed=elapsed,
-                trials=trials,
-                workers=1,
-                chunks=1,
-                busy=elapsed,
-                parallel=False,
-                # workers == 1 is a designed serial path, not a downgrade.
-                fallback=reason is not None,
-            ),
-        )
-        if tracing:
-            _emit_batch_events(observe, batch, trial_times=times)
+        self.last_fallback_reason = reason or self._local.last_fallback_reason
         return batch
+
+    def _abandon_pool(
+        self,
+        task: Task,
+        executor: Executor,
+        trials: int,
+        seed: int,
+        observe: "Observer | None",
+    ) -> TrialBatch:
+        """Shut a failed pool down for good and recover the batch
+        in-process, so the sweep still completes correctly."""
+        self.close()
+        self._pool_failed = True
+        return self._in_process(
+            task, executor, trials, seed, observe,
+            "process pool broke mid-batch",
+        )
 
     def run_trials(
         self,
@@ -464,58 +553,66 @@ class ProcessPoolRunner(TrialRunner):
     ) -> TrialBatch:
         _validate_trials(trials)
         if self._workers == 1:
-            return self._serial_fallback(
-                task, executor, trials, seed, None, observe
+            return self._in_process(
+                task, executor, trials, seed, observe, None
             )
         try:
             pickle.dumps((task, executor))
         except Exception:
-            return self._serial_fallback(
-                task,
-                executor,
-                trials,
-                seed,
+            return self._in_process(
+                task, executor, trials, seed, observe,
                 "unpicklable task/executor",
-                observe,
             )
         pool = self._ensure_pool()
         if pool is None:
-            return self._serial_fallback(
-                task,
-                executor,
-                trials,
-                seed,
+            return self._in_process(
+                task, executor, trials, seed, observe,
                 "process pool failed to start",
-                observe,
             )
+        from concurrent.futures import wait
+        from concurrent.futures.process import BrokenProcessPool
+
         chunks = self._chunk_indices(trials)
         start = time.perf_counter()
         try:
             futures = [
-                pool.submit(_run_chunk, task, executor, seed, chunk)
+                pool.submit(
+                    _run_chunk, task, executor, seed, chunk,
+                    self.worker_runner,
+                )
                 for chunk in chunks
             ]
+        except (OSError, RuntimeError):
+            # Submitting runs no trial, so what it raises is the pool's:
+            # the workers fork on the first submit, and a pool that
+            # broke while idle refuses work (BrokenProcessPool).
+            return self._abandon_pool(task, executor, trials, seed, observe)
+        try:
             outcomes = [future.result() for future in futures]
+        except BrokenProcessPool:
+            # A worker died (OOM, signal).
+            return self._abandon_pool(task, executor, trials, seed, observe)
         except Exception:
-            # A worker died (OOM, signal) or the pool broke: recover the
-            # batch serially so the sweep still completes correctly.
-            self.close()
-            self._pool_failed = True
-            return self._serial_fallback(
-                task,
-                executor,
-                trials,
-                seed,
-                "process pool broke mid-batch",
-                observe,
-            )
+            # A trial raised inside a worker; the pool is healthy.  Leave
+            # it idle for the next batch, then raise the trial's error.
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
         elapsed = time.perf_counter() - start
-        self.last_fallback_reason = None
+        # Every stripe classifies the batch alike, so the first worker
+        # fallback reason is *the* reason; the pool itself ran, so
+        # timing["fallback"] stays unset.
+        self.last_fallback_reason = next(
+            (reason for _, _, reason in outcomes if reason is not None),
+            None,
+        )
         records = [
-            record for chunk_records, _ in outcomes for record in chunk_records
+            record for chunk_records, _, _ in outcomes
+            for record in chunk_records
         ]
         records.sort(key=lambda record: record.index)
-        busy = sum(busy_time for _, busy_time in outcomes)
+        busy = sum(busy_time for _, busy_time, _ in outcomes)
         batch = TrialBatch(
             records=records,
             timing=_timing(
@@ -529,7 +626,7 @@ class ProcessPoolRunner(TrialRunner):
             ),
         )
         if observe is not None and observe.enabled:
-            for chunk_no, (chunk, (_, busy_time)) in enumerate(
+            for chunk_no, (chunk, (_, busy_time, _)) in enumerate(
                 zip(chunks, outcomes)
             ):
                 observe.emit(

@@ -212,9 +212,7 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
         # The auto planner's per-batch choices and the last runner-level
         # downgrade reason (None when every batch ran as selected).
         "backend_decisions": decisions,
-        "last_fallback_reason": getattr(
-            runner, "last_fallback_reason", None
-        ),
+        "last_fallback_reason": runner.last_fallback_reason,
     }
     _print_summary(
         summary,

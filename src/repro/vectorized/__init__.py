@@ -19,10 +19,10 @@ bit-matrices, bitwise-equivalent to the scalar engine trial by trial:
   broadcast, MIS, local-broadcast wrapper);
 * :mod:`repro.vectorized.runner` — :class:`VectorizedRunner`, with
   scalar fallback for batches it cannot collapse, and :func:`classify`,
-  the collapse classifier it shares with the ``auto`` planner;
-* :mod:`repro.vectorized.process_runner` —
-  :class:`VectorizedProcessRunner`, the composed backend striping a
-  batch across a process pool of vectorized workers.
+  the collapse classifier it shares with the ``auto`` planner.  The
+  composed ``vectorized-process`` backend is
+  ``ProcessPoolRunner(worker_runner=VectorizedRunner)``: contiguous trial
+  stripes, each run by a pool worker's cached vectorized runner.
 
 Importing this package never requires numpy; constructing a runner (or
 calling any vectorized entry point) raises a clear
@@ -55,7 +55,6 @@ from repro.vectorized.noise import (
     numpy_stream,
     require_numpy,
 )
-from repro.vectorized.process_runner import VectorizedProcessRunner
 from repro.vectorized.runner import VectorizedRunner, classify
 from repro.vectorized.schemes import (
     CHANNEL_KINDS,
@@ -91,6 +90,5 @@ __all__ = [
     "classify_network",
     "network_records",
     "VectorizedRunner",
-    "VectorizedProcessRunner",
     "classify",
 ]

@@ -1,8 +1,9 @@
 """The trial-batched vectorized backend.
 
-:class:`VectorizedRunner` is the third :class:`~repro.parallel.runner.
-TrialRunner` backend, next to ``SerialRunner`` and ``ProcessPoolRunner``.
-It targets the scalar engine's worst cases — the chunk-commit scheme's
+:class:`VectorizedRunner` is an in-process :class:`~repro.parallel.runner.
+InProcessRunner`, like ``SerialRunner``; ``ProcessPoolRunner(worker_runner=
+VectorizedRunner)`` stripes it across a process pool (the
+``vectorized-process`` backend).  It targets the scalar engine's worst cases — the chunk-commit scheme's
 ``n²`` inner-party replays and the rewind scheme's strictly sequential
 alarm rounds — by running each trial through the party-collapsed
 simulations of :mod:`repro.vectorized.schemes`, with the whole batch's
@@ -35,22 +36,14 @@ protocol.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observe import Observer
+from typing import Sequence
 
 from repro.parallel.executors import SimulationExecutor
 from repro.parallel.runner import (
     Executor,
-    TrialBatch,
+    InProcessRunner,
     TrialRecord,
-    TrialRunner,
-    _emit_batch_events,
-    _run_chunk,
-    _serial_records,
-    _timing,
-    _validate_trials,
+    _scalar_records,
 )
 from repro.rng import derive_seed, spawn
 from repro.simulation.chunked import ChunkCommitSimulator
@@ -73,6 +66,13 @@ from repro.vectorized.schemes_hierarchical import simulate_hierarchical
 from repro.vectorized.schemes_repetition import simulate_repetition
 
 __all__ = ["VectorizedRunner", "classify"]
+
+#: Shared-noise flip indicators prefetched per trial into the batch
+#: bit-matrix of the single-hop schemes; draws beyond it continue
+#: seamlessly from each trial's transferred generator state.  Purely an
+#: amortization knob: results are identical for any value.  Network
+#: batches read per-trial flip streams directly and ignore it.
+PREFETCH = 4096
 
 #: Simulator types with a party-collapsed form.  Exact types: a subclass
 #: may override scheme steps the collapsed forms hard-code.
@@ -116,77 +116,42 @@ def classify(executor: Executor, seed: int):
     return None, scheme, f"{reason}; {net_reason}"
 
 
-class VectorizedRunner(TrialRunner):
+class VectorizedRunner(InProcessRunner):
     """In-process backend running batches through collapsed simulations.
 
-    Args:
-        prefetch: Shared-noise flip indicators prefetched per trial into
-            the batch bit-matrix of the single-hop schemes; draws beyond
-            it continue seamlessly from each trial's transferred
-            generator state.  Purely an amortization knob — results are
-            identical for any value.  Network batches read per-trial
-            flip streams directly and ignore it.
+    Batches that cannot collapse run the scalar :func:`run_trial` loop
+    over the same indices, with the reason in ``last_fallback_reason``.
 
     Requires numpy (raises :class:`~repro.errors.ConfigurationError` at
     construction when missing, so callers can gate on it cleanly).
     """
 
-    def __init__(self, prefetch: int = 4096) -> None:
+    #: One stripe per pool worker: long stripes amortize each worker's
+    #: batched noise prefetch and codebook construction over many trials.
+    STRIPES_PER_WORKER = 1
+
+    def __init__(self) -> None:
         require_numpy()
-        self.prefetch = prefetch
-        #: Why the last batch fell back to the scalar loop (``None`` when
-        #: it ran vectorized), mirroring ``ProcessPoolRunner``.
-        self.last_fallback_reason: str | None = None
         # (chunk_length, rate_constant, code_seed, up, down) ->
         # (code, VectorizedMLDecoder); shared across batches so each
         # codebook is built and packed once per parameter point, not once
         # per trial.
         self._codebooks: dict[tuple, tuple] = {}
 
-    @property
-    def workers(self) -> int:
-        return 1
-
-    def _serial_fallback(
+    def run_indices(
         self,
         task: Task,
         executor: Executor,
-        trials: int,
         seed: int,
-        reason: str,
-        observe: "Observer | None",
-    ) -> TrialBatch:
-        self.last_fallback_reason = reason
-        tracing = observe is not None and observe.enabled
-        records, elapsed, times = _serial_records(
-            task, executor, trials, seed, collect_times=tracing
-        )
-        batch = TrialBatch(
-            records=records,
-            timing=_timing(
-                elapsed=elapsed,
-                trials=trials,
-                workers=1,
-                chunks=1,
-                busy=elapsed,
-                parallel=False,
-                fallback=True,
-            ),
-        )
-        if tracing:
-            _emit_batch_events(observe, batch, trial_times=times)
-        return batch
-
-    def _route_records(
-        self,
-        route: Any,
-        task: Task,
-        executor: Executor,
-        seed: int,
-        indices: list[int],
+        indices: Sequence[int],
         collect_times: bool = False,
     ) -> tuple[list[TrialRecord], list[float] | None]:
-        """Dispatch a classified route to its batched implementation."""
+        route, _, reason = classify(executor, seed)
+        self.last_fallback_reason = reason
+        if route is None:
+            return _scalar_records(
+                task, executor, seed, indices, collect_times
+            )
         if isinstance(route, NetworkRoute):
             return network_records(
                 route,
@@ -206,16 +171,10 @@ class VectorizedRunner(TrialRunner):
         task: Task,
         executor: Executor,
         seed: int,
-        indices: list[int],
+        indices: Sequence[int],
         collect_times: bool = False,
     ) -> tuple[list[TrialRecord], list[float] | None]:
-        """Run the given global trial indices through a collapsed scheme.
-
-        The per-trial seed labels use the *global* index, so a stripe of
-        a larger batch produces exactly the records a whole-batch run
-        would for those indices — the composed process backend's
-        correctness hinges on this.
-        """
+        """Run the given global trial indices through a collapsed scheme."""
         simulator, collapsed = route
         # The exact per-trial channel constructions run_trial's executor
         # would make, batched up front so their noise streams can be
@@ -228,7 +187,7 @@ class VectorizedRunner(TrialRunner):
         if CHANNEL_KINDS[type(channels[0])] != "noiseless":
             flip_rows = BatchFlips(
                 [flip_rule(channel) for channel in channels],
-                columns=self.prefetch,
+                columns=PREFETCH,
             )
 
         records: list[TrialRecord] = []
@@ -270,74 +229,3 @@ class VectorizedRunner(TrialRunner):
                 times.append(now - last)
                 last = now
         return records, times
-
-    def run_indices(
-        self,
-        task: Task,
-        executor: Executor,
-        seed: int,
-        indices: list[int],
-    ) -> tuple[list[TrialRecord], float]:
-        """Run an arbitrary list of global trial indices — the composed
-        process backend's stripe unit.
-
-        Returns ``(records, busy_seconds)``.  Batches that cannot
-        collapse run the scalar :func:`run_trial` loop over the same
-        indices (``last_fallback_reason`` records why), so a stripe is
-        always bitwise-identical to the corresponding slice of any other
-        backend's batch.
-        """
-        start = time.perf_counter()
-        route, _, reason = classify(executor, seed)
-        if route is None:
-            self.last_fallback_reason = reason
-            return _run_chunk(task, executor, seed, list(indices))
-        self.last_fallback_reason = None
-        records, _ = self._route_records(
-            route, task, executor, seed, list(indices)
-        )
-        return records, time.perf_counter() - start
-
-    def run_trials(
-        self,
-        task: Task,
-        executor: Executor,
-        trials: int,
-        *,
-        seed: int = 0,
-        observe: "Observer | None" = None,
-    ) -> TrialBatch:
-        _validate_trials(trials)
-        route, _, reason = classify(executor, seed)
-        if route is None:
-            return self._serial_fallback(
-                task, executor, trials, seed, reason, observe
-            )
-        self.last_fallback_reason = None
-        tracing = observe is not None and observe.enabled
-
-        start = time.perf_counter()
-        records, times = self._route_records(
-            route,
-            task,
-            executor,
-            seed,
-            list(range(trials)),
-            collect_times=tracing,
-        )
-        elapsed = time.perf_counter() - start
-        batch = TrialBatch(
-            records=records,
-            timing=_timing(
-                elapsed=elapsed,
-                trials=trials,
-                workers=1,
-                chunks=1,
-                busy=elapsed,
-                parallel=False,
-                fallback=False,
-            ),
-        )
-        if tracing:
-            _emit_batch_events(observe, batch, trial_times=times)
-        return batch

@@ -43,7 +43,7 @@ from repro.tasks import ParityTask
 
 np = pytest.importorskip("numpy")
 
-from repro.vectorized import VectorizedProcessRunner, VectorizedRunner
+from repro.vectorized import VectorizedRunner
 
 
 def _executor(task, channel_spec, simulator):
@@ -82,7 +82,8 @@ class TestMakeRunnerRouting:
     def test_vectorized_process_backend(self):
         runner = make_runner(2, backend="vectorized-process")
         try:
-            assert isinstance(runner, VectorizedProcessRunner)
+            assert isinstance(runner, ProcessPoolRunner)
+            assert runner.worker_runner is VectorizedRunner
             assert runner.workers == 2
         finally:
             runner.close()

@@ -180,7 +180,7 @@ class TestNetworkCrossBackendEquivalence:
     def test_vectorized_process_stripes_match(self):
         """The composed backend stripes a network batch across worker
         processes to the same records as one in-process batch."""
-        from repro.vectorized import VectorizedProcessRunner
+        from repro.parallel import ProcessPoolRunner
 
         topology_spec = TOPOLOGY_SPECS["grid"]
         task = NeighborORTask(topology_spec.build())
@@ -190,7 +190,9 @@ class TestNetworkCrossBackendEquivalence:
         serial = SerialRunner().run_trials(
             task, executor, 8, seed=31
         ).records
-        runner = VectorizedProcessRunner(workers=2)
+        runner = ProcessPoolRunner(
+            workers=2, worker_runner=VectorizedRunner
+        )
         try:
             striped = runner.run_trials(task, executor, 8, seed=31)
         finally:

@@ -7,10 +7,12 @@ path — produces **bitwise identical** ``SweepPoint.to_dict()`` output.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.analysis import estimate_success, success_curve
-from repro.channels import CorrelatedNoiseChannel
+from repro.channels import CorrelatedNoiseChannel, IndependentNoiseChannel
 from repro.errors import ConfigurationError
 from repro.parallel import (
     ChannelSpec,
@@ -24,8 +26,9 @@ from repro.parallel import (
     run_trial,
     use_runner,
 )
-from repro.simulation import ChunkCommitSimulator
-from repro.tasks import InputSetTask, OrTask
+from repro.simulation import ChunkCommitSimulator, HierarchicalSimulator
+from repro.tasks import InputSetTask, OrTask, ParityTask
+from repro.vectorized import HAVE_NUMPY, VectorizedRunner
 
 GRID = [(3, 0.05), (4, 0.2)]
 
@@ -127,6 +130,110 @@ class TestBackendEquivalence:
             assert pool is not None
             estimate_success(task, executor, 4, seed=1, runner=runner)
             assert runner._pool is pool
+
+
+def _correlated_or_exit(epsilon, *, parent_pid, rng):
+    """A ``CorrelatedNoiseChannel`` factory that kills any process but
+    ``parent_pid`` calling it: a pool worker dying mid-batch."""
+    if os.getpid() != parent_pid:
+        os._exit(1)
+    return CorrelatedNoiseChannel(epsilon, rng=rng)
+
+
+WORKER_RUNNERS = [
+    SerialRunner,
+    pytest.param(
+        VectorizedRunner,
+        marks=pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy"),
+    ),
+]
+
+
+@pytest.mark.parametrize("worker_runner", WORKER_RUNNERS)
+class TestPoolDowngrades:
+    """Which failures downgrade a pool runner, for both worker types."""
+
+    def test_trial_error_is_raised_and_pool_survives(self, worker_runner):
+        task = ParityTask(3)
+        failing = SimulationExecutor(
+            task=task,
+            channel=ChannelSpec.of(IndependentNoiseChannel, 0.15),
+            simulator=SimulatorSpec.of(HierarchicalSimulator),
+        )
+        with pytest.raises(Exception) as serial_error:
+            SerialRunner().run_trials(task, failing, 6, seed=4)
+        good = SimulationExecutor(
+            task=task,
+            channel=ChannelSpec.of(CorrelatedNoiseChannel, 0.15),
+            simulator=SimulatorSpec.of(ChunkCommitSimulator),
+        )
+        with ProcessPoolRunner(
+            workers=2, worker_runner=worker_runner
+        ) as runner:
+            with pytest.raises(Exception) as pool_error:
+                runner.run_trials(task, failing, 6, seed=4)
+            assert type(pool_error.value) is type(serial_error.value)
+            assert str(pool_error.value) == str(serial_error.value)
+            batch = runner.run_trials(task, good, 6, seed=4)
+            assert runner.last_fallback_reason is None
+        assert batch.timing["parallel"] == 1.0
+        assert batch.timing["fallback"] == 0.0
+        assert batch.records == (
+            SerialRunner().run_trials(task, good, 6, seed=4).records
+        )
+
+    def test_worker_death_recovers_in_process(self, worker_runner):
+        task = ParityTask(3)
+        executor = SimulationExecutor(
+            task=task,
+            channel=ChannelSpec.of(
+                _correlated_or_exit, 0.15, parent_pid=os.getpid()
+            ),
+            simulator=SimulatorSpec.of(ChunkCommitSimulator),
+        )
+        with ProcessPoolRunner(
+            workers=2, worker_runner=worker_runner
+        ) as runner:
+            batch = runner.run_trials(task, executor, 6, seed=8)
+            assert runner.last_fallback_reason == (
+                "process pool broke mid-batch"
+            )
+        assert batch.timing["fallback"] == 1.0
+        assert batch.timing["parallel"] == 0.0
+        assert batch.records == (
+            SerialRunner().run_trials(task, executor, 6, seed=8).records
+        )
+
+    def test_pool_that_cannot_fork_recovers_in_process(self, worker_runner):
+        """Workers fork on the first submit; a fork that fails is the
+        pool's failure, not the batch's."""
+
+        class ForkFails:
+            def submit(self, *args, **kwargs):
+                raise BlockingIOError("fork: resource temporarily unavailable")
+
+            def shutdown(self, **kwargs):
+                pass
+
+        task = ParityTask(3)
+        executor = SimulationExecutor(
+            task=task,
+            channel=ChannelSpec.of(CorrelatedNoiseChannel, 0.15),
+            simulator=SimulatorSpec.of(ChunkCommitSimulator),
+        )
+        with ProcessPoolRunner(
+            workers=2, worker_runner=worker_runner
+        ) as runner:
+            runner._pool = ForkFails()
+            batch = runner.run_trials(task, executor, 6, seed=8)
+            assert runner.last_fallback_reason == (
+                "process pool broke mid-batch"
+            )
+            assert runner._pool is None
+        assert batch.timing["fallback"] == 1.0
+        assert batch.records == (
+            SerialRunner().run_trials(task, executor, 6, seed=8).records
+        )
 
 
 class TestRunnerBookkeeping:

@@ -24,6 +24,7 @@ from repro.channels import (
 )
 from repro.parallel import (
     ChannelSpec,
+    ProcessPoolRunner,
     SerialRunner,
     SimulationExecutor,
     SimulatorSpec,
@@ -35,7 +36,7 @@ from repro.simulation import (
     RewindSimulator,
 )
 from repro.tasks import ParityTask
-from repro.vectorized import VectorizedProcessRunner, VectorizedRunner
+from repro.vectorized import VectorizedRunner
 
 CHANNEL_SPECS = {
     "noiseless": ChannelSpec.of(NoiselessChannel, seed_kwarg=None),
@@ -54,12 +55,17 @@ SIMULATORS = {
 TRIALS = 6
 
 
+def _composed(**kwargs):
+    """The ``vectorized-process`` backend."""
+    return ProcessPoolRunner(worker_runner=VectorizedRunner, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def pools():
     """One reusable pool per worker count — pool startup dominates these
     tests, so every parametrization shares the same two runners."""
     runners = {
-        workers: VectorizedProcessRunner(workers=workers)
+        workers: _composed(workers=workers)
         for workers in (2, 4)
     }
     yield runners
@@ -116,16 +122,16 @@ class TestComposedBackendEquivalence:
         task = ParityTask(3)
         executor = _executor(task, "correlated", "chunk")
         reference = _run(SerialRunner(), task, executor, 71)
-        runner = VectorizedProcessRunner(workers=2, chunk_size=chunk_size)
+        runner = _composed(workers=2, chunk_size=chunk_size)
         try:
             assert _run(runner, task, executor, 71) == reference
         finally:
             runner.close()
 
     def test_default_stripes_are_balanced_and_contiguous(self):
-        runner = VectorizedProcessRunner(workers=4)
+        runner = _composed(workers=4)
         try:
-            stripes = runner._stripe_indices(10)
+            stripes = runner._chunk_indices(10)
             assert [len(stripe) for stripe in stripes] == [3, 3, 3, 1]
             assert sorted(sum(stripes, [])) == list(range(10))
             for stripe in stripes:
@@ -134,11 +140,37 @@ class TestComposedBackendEquivalence:
             runner.close()
 
 
+class TestWorkerRunnerCache:
+    def test_worker_chunks_reuse_one_cached_runner(self, monkeypatch):
+        """A worker builds one runner per type, so its second stripe
+        reuses the codebooks the first one built."""
+        from repro.parallel import runner as runner_module
+
+        monkeypatch.setattr(runner_module, "_WORKER_RUNNERS", {})
+        task = ParityTask(3)
+        executor = _executor(task, "correlated", "chunk")
+        first, _, reason = runner_module._run_chunk(
+            task, executor, 5, [0, 1, 2], VectorizedRunner
+        )
+        assert reason is None
+        cached = runner_module._WORKER_RUNNERS[VectorizedRunner]
+        codebooks = dict(cached._codebooks)
+        assert codebooks
+        second, _, _ = runner_module._run_chunk(
+            task, executor, 5, [3, 4, 5], VectorizedRunner
+        )
+        assert runner_module._WORKER_RUNNERS == {VectorizedRunner: cached}
+        assert cached._codebooks.keys() == codebooks.keys()
+        for key, entry in codebooks.items():
+            assert cached._codebooks[key] is entry
+        assert first + second == _run(SerialRunner(), task, executor, 5)
+
+
 class TestComposedBackendDowngrades:
     def test_single_worker_runs_in_process(self):
         task = ParityTask(3)
         executor = _executor(task, "correlated", "chunk")
-        runner = VectorizedProcessRunner(workers=1)
+        runner = _composed(workers=1)
         try:
             batch = runner.run_trials(task, executor, TRIALS, seed=9)
             assert runner.last_fallback_reason is None
@@ -163,7 +195,7 @@ class TestComposedBackendDowngrades:
             channel=picklable.channel,
             simulator=picklable.simulator,
         )
-        runner = VectorizedProcessRunner(workers=2)
+        runner = _composed(workers=2)
         try:
             batch = runner.run_trials(task, executor, TRIALS, seed=9)
             assert (
